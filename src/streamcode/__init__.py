@@ -5,6 +5,7 @@ Library layout:
 - gf            — GF(2^k) arithmetic, polynomials, subfield packing
 - codes         — generator-matrix linear codes: Reed-Solomon, Reed-Muller,
                   concatenation, tensoring, decoding (unique / list / brute)
+- ldc_core      — Reed-Muller locally decodable code read along random curves
 - ldc_binary    — binary locally decodable code with smooth and advice decoding
 - ldc_large     — large-alphabet locally decodable code and query-list sampling
 - stream        — single-pass symbol streams, in-order output tapes, memory ledger

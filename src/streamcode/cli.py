@@ -19,8 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf import GF, word_from_hex, word_to_hex
-from .codes import codebook, min_distance_bruteforce
+from .gf import GF, word_from_hex
+from .codes import min_distance_bruteforce
 from .stream import (MemoryLedger, OutOfOrderWrite, StreamExhausted,
                      SymbolStream, read_stream_file, write_stream_file)
 from .channel import AttackStrategy, ErrorBudget, corrupt, corruption_dist2
@@ -100,7 +100,7 @@ def cmd_repeat_encode(args) -> int:
 def cmd_repeat_decode(args) -> int:
     prof = _load_valid_profile(args.profile)
     params = build_params(prof)
-    if args.budget_bits:
+    if args.budget_bits is not None:
         params.budget_bits = args.budget_bits
     word, _ = read_stream_file(args.infile)
     ledger = MemoryLedger(params.budget_bits)

@@ -156,6 +156,19 @@ def _walk_copy(stream: SymbolStream, L: int, num_blocks: int,
         stream.skip((num_blocks - cur) * L)
 
 
+def _schedule(L: int, curve_lists: list):
+    """A zeroed buffer per curve (one list of curves per plan) and the
+    block -> [(buffer, start)] deliveries that fill them from the stream."""
+    bufs = [[np.zeros(len(cv.positions), dtype=np.uint8) for cv in curves]
+            for curves in curve_lists]
+    deliveries: dict = {}
+    for row, curves in zip(bufs, curve_lists):
+        for buf, cv in zip(row, curves):
+            for s, blk in enumerate(cv.blocks):
+                deliveries.setdefault(blk, []).append((buf, s * L))
+    return bufs, deliveries
+
+
 def dec_repeat(params: RepeatParams, stream: SymbolStream, rng,
                ledger: MemoryLedger | None = None,
                collect_trace: bool = False) -> RepeatResult:
@@ -189,13 +202,7 @@ def dec_repeat(params: RepeatParams, stream: SymbolStream, rng,
             # ---- phase 1: refresh every tracker on this copy
             plans = [sample_smooth_plan(ldc, pos, rng, index="codeword")
                      for pos in trackers]
-            bufs = [[np.zeros(len(cv.positions), dtype=np.uint8)
-                     for cv in pl.curves] for pl in plans]
-            deliveries: dict = {}
-            for ti, pl in enumerate(plans):
-                for ci, cv in enumerate(pl.curves):
-                    for s, blk in enumerate(cv.blocks):
-                        deliveries.setdefault(blk, []).append((bufs[ti][ci], s * L))
+            bufs, deliveries = _schedule(L, [pl.curves for pl in plans])
             state = {
                 "copy": ell,
                 "next": next_bit,
@@ -230,16 +237,7 @@ def dec_repeat(params: RepeatParams, stream: SymbolStream, rng,
                                  min(next_bit + params.r_out, params.msg_bits)))
             plans = [sample_advice_plan(ldc, i, adv, rng, index="message")
                      for i in pending]
-            bufs = [[np.zeros(len(it.positions), dtype=np.uint8)
-                     for it in pl.iterations] for pl in plans]
-            deliveries = {}
-            blocks_flat = []
-            for pi, pl in enumerate(plans):
-                for ii, it in enumerate(pl.iterations):
-                    blocks = (np.asarray(it.positions[::L]) // L).astype(np.int64)
-                    blocks_flat.extend(int(b) for b in blocks)
-                    for s, blk in enumerate(blocks):
-                        deliveries.setdefault(int(blk), []).append((bufs[pi][ii], s * L))
+            bufs, deliveries = _schedule(L, [pl.iterations for pl in plans])
             check_vals = np.full(params.v, -1, dtype=np.int64)
             singles: dict = {}
             for t, pos in enumerate(checks):
@@ -252,7 +250,8 @@ def dec_repeat(params: RepeatParams, stream: SymbolStream, rng,
                 "settled": settled,
                 "nodes": np.array([nd for pl in plans for it in pl.iterations
                                    for nd in it.nodes], dtype=np.int64),
-                "plan_blocks": np.array(blocks_flat, dtype=np.int64),
+                "plan_blocks": np.array([b for pl in plans for it in pl.iterations
+                                         for b in it.blocks], dtype=np.int64),
                 "check_vals": check_vals,
                 "bufs": np.concatenate([b for row in bufs for b in row]),
             }

@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .gf import ERASE, GF, FieldSpec, field_mul, mul_lut, pack_symbols, unpack_symbol
-from .codes import LinearCode, codebook, concat, repetition_code
+from .gf import ERASE, GF, FieldSpec, field_mul, mul_lut, pack_symbols
+from .codes import LinearCode, codebook, concat, repetition_code, symbol_words
 from .ldc_large import (LargeLdcParams, QueryLists, confidence_from_words_large,
                         gen_qlists, overlap_cap)
 from .stream import SymbolStream
@@ -47,31 +47,6 @@ from .stream import SymbolStream
 
 # ---------------------------------------------------------------------------
 # domain types
-
-@dataclass(frozen=True)
-class TupleIndex:
-    """Digit sequence addressing a tensor block (or message cell); lexicographic
-    order on digits equals stream order of the addressed segment."""
-
-    digits: tuple
-
-    def flat(self, base: int) -> int:
-        out = 0
-        for t in self.digits:
-            out = out * base + int(t)
-        return out
-
-    def child(self, j: int) -> "TupleIndex":
-        return TupleIndex(self.digits + (int(j),))
-
-
-def flat_to_tuple(index: int, base: int, length: int) -> tuple:
-    digits = []
-    for _ in range(length):
-        index, rem = divmod(index, base)
-        digits.append(rem)
-    return tuple(reversed(digits))
-
 
 @dataclass
 class LinearFunctional:
@@ -234,11 +209,7 @@ def tensor_encode(code: LinearCode, d: int, x, axis_order=None) -> np.ndarray:
 def _symbol_bit_words(params: TensorParams) -> np.ndarray:
     tbl = getattr(params, "_sym_words", None)
     if tbl is None:
-        K = params.K
-        tbl = np.array([params.base_code.encode(
-            np.array(unpack_symbol(GF(1), K, s), dtype=np.int32))
-            for s in range(K.q)], dtype=np.int32)
-        params._sym_words = tbl
+        tbl = params._sym_words = symbol_words(params.base_code, params.K)
     return tbl
 
 

@@ -22,7 +22,7 @@ Decoding entry points:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -118,10 +118,6 @@ def word_dist2(w, c) -> int:
     era = int((w == ERASE).sum())
     mism = int((w != c).sum())  # erasure positions always count as mismatches here
     return 2 * (mism - era) + era
-
-
-def rel_distance(w, c) -> Fraction:
-    return Fraction(word_dist2(w, c), 2 * len(np.asarray(w)))
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +293,12 @@ def concat(outer: LinearCode, inner: LinearCode) -> ConcatCode:
     if F.k != K.k * e:
         raise ValueError(f"alphabet mismatch: |F|=2^{F.k} vs |K|^e=2^{K.k * e}")
     m = outer.msg_len * e
-    M = outer.code_len * inner.code_len
-    cols = np.zeros((M, m), dtype=np.int32)
-    for u in range(m):
-        msg = np.zeros(m, dtype=np.int32)
-        msg[u] = 1
-        cols[:, u] = _concat_encode(outer, inner, msg)
+    # column u encodes the unit message e_u: basis symbol pack(e_{u mod e})
+    # times outer column u // e, then every block through the inner code
+    words = symbol_words(inner, F)
+    basis = [pack_symbols(K, F, np.eye(e, dtype=np.int32)[s]) for s in range(e)]
+    cols = np.stack([words[mul_lut(F, basis[u % e])[outer.gen[:, u // e]]].ravel()
+                     for u in range(m)], axis=1)
     sys_pos = None
     if outer.systematic_positions is not None and inner.systematic_positions is not None:
         sys_pos = tuple(
@@ -314,21 +310,11 @@ def concat(outer: LinearCode, inner: LinearCode) -> ConcatCode:
     return cc
 
 
-def _concat_encode(outer: LinearCode, inner: LinearCode, msg) -> np.ndarray:
-    F, K = outer.field, inner.field
-    e = inner.msg_len
-    packed = np.array([pack_symbols(K, F, msg[i * e:(i + 1) * e]) for i in range(outer.msg_len)],
-                      dtype=np.int32)
-    outer_cw = outer.encode(packed)
-    out = np.empty(outer.code_len * inner.code_len, dtype=np.int32)
-    for p, sym in enumerate(outer_cw):
-        out[p * inner.code_len:(p + 1) * inner.code_len] = inner.encode(
-            np.array(unpack_symbol(K, F, int(sym)), dtype=np.int32))
-    return out
-
-
-def encode(code: LinearCode, msg) -> np.ndarray:
-    return code.encode(msg)
+def symbol_words(inner: LinearCode, F: FieldSpec) -> np.ndarray:
+    """(|F|, inner.code_len) table: row s is the inner codeword of the
+    inner.msg_len symbols that the F-symbol s unpacks to."""
+    return np.stack([inner.encode(np.array(unpack_symbol(inner.field, F, s), dtype=np.int32))
+                     for s in range(F.q)]).astype(np.int32)
 
 
 def replicate(code: LinearCode, times: int) -> LinearCode:

@@ -1,15 +1,6 @@
-"""Binary locally decodable code: Reed-Muller over GF(2^b) concatenated with a
-small binary inner code, plus its two local decoders.
-
-Encoding packs b message bits per field symbol, places the symbols at the
-systematic points of the Reed-Muller code, and re-encodes every evaluation
-with the inner code, so one codeword bit is addressed as
-(block, offset) = (RM point index, inner position).
-
-Local decoding samples degree-2 curves through the target point and reads the
-inner blocks along each curve; the restriction of the big code to a curve is a
-small Reed-Solomon/inner concatenation that the codes layer can decode.  Two
-decoders share that machinery:
+"""Binary locally decodable code: the Reed-Muller core (ldc_core) over
+F = GF(2^b) with K = GF(2), so each field symbol packs b message bits and a
+binary inner code re-encodes it.  Two local decoders read the core's curves:
 
 - smooth_local_decode: t_smooth curves, unique decoding per curve, and an
   exact confidence pair (p0, p1) with p0 + p1 == 1 (Fractions throughout).
@@ -26,16 +17,19 @@ without random access.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .gf import GF, FieldSpec, pack_symbols, poly_eval, poly_interpolate, unpack_symbol
-from .codes import (
-    LinearCode, codebook, concat, list_decode_concat, make_systematic,
-    rm_code, rs_code, unique_decode, word_dist2,
-)
+from .gf import GF, FieldSpec, poly_eval, poly_interpolate
+# codebook is imported for the benchmark's tracer, which wraps it by name here
+from .codes import (LinearCode, codebook, concat, list_decode_concat,  # noqa: F401
+                    rs_code, unique_decode, word_dist2)
+from .ldc_core import (CurvePlan, RmLdc, SmoothPlan, curve_plan, encode, gather,
+                       sample_smooth_plan)
+
+ldc_encode = encode
 
 
 class AdviceMismatch(Exception):
@@ -65,7 +59,7 @@ class AdvicePositions:
 
 
 @dataclass
-class BinaryLdcParams:
+class BinaryLdcParams(RmLdc):
     F: FieldSpec            # Reed-Muller alphabet, q = 2^b
     m: int                  # number of variables
     d: int                  # total degree bound
@@ -76,88 +70,35 @@ class BinaryLdcParams:
     t_advice: int = 3
     k_adv: int = 1
 
+    K = GF(1)               # message alphabet: bits
+
     def __post_init__(self):
-        self.eps = Fraction(self.eps)
-        b = self.F.k
-        if self.inner.msg_len != b:
-            raise ValueError("inner code must encode one field symbol (b bits)")
-        if self.inner.field.k != 1:
-            raise ValueError("inner code must be binary")
-        if self.inner.systematic_positions is None:
-            raise ValueError("inner code must be systematic")
-        if not 0 < self.d < self.F.q:
-            raise ValueError("need 0 < d < q")
-        if self.n > self.capacity_bits:
-            raise ValueError(f"message too long: {self.n} > capacity {self.capacity_bits}")
+        self._init_core()
         if self.advice_size > self.t_advice * (self.F.q - 1) * self.inner.code_len:
             raise ValueError("advice larger than the advice-decoder query budget")
-        self.rm = make_systematic(rm_code(self.F, self.m, self.d))
-        # restriction of the code to a degree-c curve: RS on F* of degree c*d
-        self.curve_code = concat(rs_code(self.F, self.nonzero_points, 2 * self.d + 1), self.inner)
         self.advice_code = concat(
             rs_code(self.F, self.nonzero_points, self.k_adv * self.d + 1), self.inner)
-        # bit layout of a symbol (slot j of the packing), as a (q, b) table
-        self.bits_of_sym = np.array(
-            [unpack_symbol(GF(1), self.F, s) for s in range(self.F.q)], dtype=np.int32)
-        cb = codebook(self.inner)
-        self._inner_lookup = {
-            bytes(cb.words[i].astype(np.uint8)): pack_symbols(GF(1), self.F, cb.msg_of_index(i))
-            for i in range(self.inner.msg_space)}
-
-    # -- derived sizes ------------------------------------------------------
+        # exact inner codeword -> field symbol, for reading advice blocks
+        self._inner_lookup = {w.tobytes(): s for s, w in
+                              enumerate(self.inner_words.astype(np.uint8))}
 
     @property
     def b(self) -> int:
         return self.F.k
 
-    @property
-    def nonzero_points(self):
-        return list(range(1, self.F.q))
+    e = b
+    msg_len = property(lambda self: self.n)
+    capacity_bits = RmLdc.capacity
+    bit_position = RmLdc.sym_position
 
     @property
     def capacity_syms(self) -> int:
-        return math.comb(self.d + self.m, self.m)
-
-    @property
-    def capacity_bits(self) -> int:
-        return self.capacity_syms * self.b
-
-    @property
-    def num_blocks(self) -> int:
-        return self.F.q ** self.m
-
-    @property
-    def block_len(self) -> int:
-        return self.inner.code_len
-
-    @property
-    def code_len(self) -> int:
-        return self.num_blocks * self.block_len
+        """Field symbols carried (b bits each)."""
+        return self.capacity // self.b
 
     @property
     def advice_size(self) -> int:
         return self.k_adv * self.inner.code_len
-
-    @property
-    def queries_smooth(self) -> int:
-        return self.t_smooth * (self.F.q - 1) * self.inner.code_len
-
-    def point_coords(self, p: int) -> tuple:
-        q = self.F.q
-        return tuple((p // q ** (self.m - 1 - a)) % q for a in range(self.m))
-
-    def point_index(self, coords) -> int:
-        q = self.F.q
-        p = 0
-        for c in coords:
-            p = p * q + int(c)
-        return p
-
-    def bit_position(self, i: int) -> int:
-        """Codeword position where message bit i reads back (systematic)."""
-        j, r = divmod(i, self.b)
-        return self.rm.systematic_positions[j] * self.block_len + \
-            self.inner.systematic_positions[r]
 
     def describe(self) -> dict:
         return {"q": self.F.q, "m": self.m, "d": self.d, "n": self.n,
@@ -167,87 +108,14 @@ class BinaryLdcParams:
 
 
 # ---------------------------------------------------------------------------
-# encoding
-
-def ldc_encode(params: BinaryLdcParams, x) -> np.ndarray:
-    """Encode n message bits into the full binary codeword."""
-    x = np.asarray(x, dtype=np.int32)
-    if x.shape != (params.n,):
-        raise ValueError(f"message must be {params.n} bits")
-    b = params.b
-    padded = np.zeros(params.capacity_bits, dtype=np.int32)
-    padded[:params.n] = x
-    syms = np.array([pack_symbols(GF(1), params.F, padded[j * b:(j + 1) * b])
-                     for j in range(params.capacity_syms)], dtype=np.int32)
-    evals = params.rm.encode(syms)
-    bitmat = params.bits_of_sym[evals]                       # (blocks, b)
-    blocks = (bitmat @ params.inner.gen.T) % 2               # (blocks, N_inner)
-    return blocks.reshape(-1).astype(np.int32)
-
-
-# ---------------------------------------------------------------------------
 # smooth local decoding
-
-@dataclass
-class CurvePlan:
-    blocks: list          # block index per lambda (lambda = 1..q-1 in order)
-    positions: np.ndarray  # all codeword bit positions, lambda-major
-
-
-@dataclass
-class SmoothPlan:
-    v0: tuple             # curve base point (coordinates)
-    offset: int           # inner position of the target bit
-    curves: list          # t_smooth CurvePlans
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.concatenate([c.positions for c in self.curves])
-
-
-def _curve_blocks(params: BinaryLdcParams, coord_polys) -> list:
-    return [params.point_index([poly_eval(params.F, cp, lam) for cp in coord_polys])
-            for lam in params.nonzero_points]
-
-
-def _block_positions(params: BinaryLdcParams, blocks) -> np.ndarray:
-    L = params.block_len
-    return np.concatenate([np.arange(p * L, (p + 1) * L) for p in blocks])
-
-
-def sample_smooth_plan(params: BinaryLdcParams, i: int, rng,
-                       index: str = "message") -> SmoothPlan:
-    """Plan t_smooth random degree-2 curves through the point that carries
-    index i (a message bit by default, a raw codeword bit with index="codeword")."""
-    if index == "message":
-        block = params.rm.systematic_positions[i // params.b]
-        offset = params.inner.systematic_positions[i % params.b]
-    elif index == "codeword":
-        block, offset = divmod(i, params.block_len)
-    else:
-        raise ValueError("index must be 'message' or 'codeword'")
-    v0 = params.point_coords(block)
-    q = params.F.q
-    curves = []
-    for _ in range(params.t_smooth):
-        v1 = [rng.randrange(q) for _ in range(params.m)]
-        v2 = [rng.randrange(q) for _ in range(params.m)]
-        coord_polys = [[v0[a], v1[a], v2[a]] for a in range(params.m)]
-        blocks = _curve_blocks(params, coord_polys)
-        curves.append(CurvePlan(blocks, _block_positions(params, blocks)))
-    return SmoothPlan(v0, offset, curves)
-
 
 def decode_curve_word(params: BinaryLdcParams, code: LinearCode, word):
     """Unique-decode one curve restriction; (h coefficients, dist2) or None."""
     msg = unique_decode(code, word)
     if msg is None:
         return None
-    b = params.b
-    coeffs = [pack_symbols(GF(1), params.F, msg[j * b:(j + 1) * b])
-              for j in range(code.msg_len // b)]
-    d2 = word_dist2(word, code.encode(msg))
-    return coeffs, d2
+    return params.pack(msg).tolist(), word_dist2(word, code.encode(msg))
 
 
 def smooth_confidence_from_words(params: BinaryLdcParams, plan: SmoothPlan,
@@ -263,19 +131,12 @@ def smooth_confidence_from_words(params: BinaryLdcParams, plan: SmoothPlan,
             acc[1] += Fraction(1, 4)
             continue
         coeffs, d2 = got
-        h0 = coeffs[0] if coeffs else 0
-        bit = int(params.inner.encode(params.bits_of_sym[h0])[plan.offset])
+        bit = int(params.inner_words[coeffs[0], plan.offset])
         delta = Fraction(d2, L)
         acc[bit] += delta
         acc[1 - bit] += Fraction(1, 2) - delta
     # p(b) collects the evidence against 1-b
     return Confidence(p0=Fraction(2, t) * acc[1], p1=Fraction(2, t) * acc[0])
-
-
-def gather(oracle, positions) -> np.ndarray:
-    if isinstance(oracle, np.ndarray):
-        return oracle[positions]
-    return np.array([oracle[int(p)] for p in positions], dtype=np.int32)
 
 
 def smooth_local_decode(oracle, i: int, params: BinaryLdcParams, rng,
@@ -291,16 +152,12 @@ def smooth_local_decode(oracle, i: int, params: BinaryLdcParams, rng,
 def sample_advice(params: BinaryLdcParams, rng) -> AdvicePositions:
     """k_adv independent uniform RM points, expanded to whole inner blocks."""
     points = tuple(rng.randrange(params.num_blocks) for _ in range(params.k_adv))
-    L = params.block_len
-    positions = tuple(int(p) * L + o for p in points for o in range(L))
-    return AdvicePositions(points, positions)
+    return AdvicePositions(points, tuple(params.block_positions(points).tolist()))
 
 
 @dataclass
-class AdviceIterationPlan:
+class AdviceIterationPlan(CurvePlan):
     nodes: list           # distinct nonzero lambdas pinning the advice points
-    coord_polys: list
-    positions: np.ndarray
 
 
 @dataclass
@@ -312,25 +169,18 @@ class AdvicePlan:
 
 def sample_advice_plan(params: BinaryLdcParams, i: int, adv: AdvicePositions,
                        rng, index: str = "message") -> AdvicePlan:
-    if index == "message":
-        block = params.rm.systematic_positions[i // params.b]
-        offset = params.inner.systematic_positions[i % params.b]
-    elif index == "codeword":
-        block, offset = divmod(i, params.block_len)
-    else:
-        raise ValueError("index must be 'message' or 'codeword'")
+    block, offset = params.target(i, index)
     v0 = params.point_coords(block)
     anchors = [params.point_coords(p) for p in adv.rm_points]
     its = []
     for _ in range(params.t_advice):
         nodes = rng.sample(params.nonzero_points, params.k_adv)
-        coord_polys = []
-        for a in range(params.m):
-            pts = [(0, v0[a])] + [(nodes[l], anchors[l][a]) for l in range(params.k_adv)]
-            coord_polys.append(poly_interpolate(params.F, pts))
-        blocks = _curve_blocks(params, coord_polys)
-        its.append(AdviceIterationPlan(nodes, coord_polys,
-                                       _block_positions(params, blocks)))
+        coord_polys = [
+            poly_interpolate(params.F, [(0, v0[a])] + [
+                (nodes[l], anchors[l][a]) for l in range(params.k_adv)])
+            for a in range(params.m)]
+        cv = curve_plan(params, coord_polys)
+        its.append(AdviceIterationPlan(cv.blocks, cv.positions, nodes))
     return AdvicePlan(block, offset, its)
 
 
@@ -339,29 +189,24 @@ def advice_symbols(params: BinaryLdcParams, adv_values) -> list:
     lookup; an invalid block gives None (and will fail every candidate)."""
     L = params.block_len
     vals = np.asarray(adv_values, dtype=np.uint8)
-    out = []
-    for l in range(params.k_adv):
-        out.append(params._inner_lookup.get(bytes(vals[l * L:(l + 1) * L])))
-    return out
+    return [params._inner_lookup.get(vals[l * L:(l + 1) * L].tobytes())
+            for l in range(params.k_adv)]
 
 
 def decode_advice_from_words(params: BinaryLdcParams, plan: AdvicePlan,
                              words, adv_values) -> int:
     syms = advice_symbols(params, adv_values)
     votes = []
-    b = params.b
     for it, word in zip(plan.iterations, words):
         cands = list_decode_concat(params.advice_code, word, params.eps)
         survivors = []
         for msg, _ in cands:
-            coeffs = [pack_symbols(GF(1), params.F, msg[j * b:(j + 1) * b])
-                      for j in range(params.advice_code.msg_len // b)]
+            coeffs = params.pack(msg).tolist()
             if all(s is not None and poly_eval(params.F, coeffs, lam) == s
                    for lam, s in zip(it.nodes, syms)):
-                survivors.append(msg)
+                survivors.append(coeffs[0])
         if len(survivors) == 1:
-            msg = survivors[0]
-            votes.append(int(params.inner.encode(msg[:b])[plan.offset]))
+            votes.append(int(params.inner_words[survivors[0], plan.offset]))
     if not votes:
         raise AdviceMismatch(
             f"no unique candidate in any of {params.t_advice} iterations")

@@ -1,9 +1,9 @@
 """Large-alphabet locally decodable code over K = GF(2^k), linear over K.
 
-Structure mirrors the binary construction: a Reed-Muller code over a bigger
-field F = GF(2^(k*e)) whose symbols each pack e message symbols, concatenated
-with a small K-linear inner code.  Codewords live in K^R and received words
-in (K ∪ {⊥})^R, with erasures charged one half in all distances.
+The Reed-Muller core (ldc_core) with F = GF(2^(k*e)), so each field symbol
+packs e message symbols, and a K-linear inner code.  Codewords live in K^R
+and received words in (K ∪ {⊥})^R, with erasures charged one half in all
+distances.
 
 smooth_local_decode_large returns a ConfidenceDist: exact Fractional masses
 on field symbols plus an erasure mass, summing to one.  Per curve, the unique
@@ -22,16 +22,18 @@ UniformQuerySpec gives the same interface for synthetic stress tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .gf import ERASE, GF, FieldSpec, pack_symbols, poly_eval, unpack_symbol
-from .codes import (
-    LinearCode, codebook, concat, list_decode_concat, make_systematic,
-    rm_code, rs_code, word_dist2,
-)
+from .gf import ERASE, GF, FieldSpec
+from .codes import LinearCode, codebook
+from .ldc_core import RmLdc, SmoothPlan, encode, gather, sample_smooth_plan
+
+ldc_large_encode = encode
+sample_smooth_plan_large = sample_smooth_plan
+gather_syms = gather
 
 
 class ResampleExhausted(Exception):
@@ -69,7 +71,7 @@ class ConfidenceDist:
 
 
 @dataclass
-class LargeLdcParams:
+class LargeLdcParams(RmLdc):
     K: FieldSpec            # message alphabet
     e: int                  # packing degree; RM alphabet F = GF(2^(k*e))
     m: int
@@ -80,65 +82,18 @@ class LargeLdcParams:
     t: int = 3
 
     def __post_init__(self):
-        self.eps = Fraction(self.eps)
         self.F = GF(self.K.k * self.e)
-        if self.inner.field != self.K or self.inner.msg_len != self.e:
-            raise ValueError("inner code must map e K-symbols")
-        if self.inner.systematic_positions is None:
-            raise ValueError("inner code must be systematic")
-        if not 0 < self.d < self.F.q:
-            raise ValueError("need 0 < d < q")
-        if self.r > self.capacity_syms:
-            raise ValueError(f"message too long: {self.r} > {self.capacity_syms}")
-        self.rm = make_systematic(rm_code(self.F, self.m, self.d))
-        self.curve_code = concat(rs_code(self.F, self.nonzero_points, 2 * self.d + 1),
-                                 self.inner)
+        self._init_core()
 
-    @property
-    def nonzero_points(self):
-        return list(range(1, self.F.q))
-
-    @property
-    def capacity_syms(self) -> int:
-        return math.comb(self.d + self.m, self.m) * self.e
-
-    @property
-    def num_blocks(self) -> int:
-        return self.F.q ** self.m
-
-    @property
-    def block_len(self) -> int:
-        return self.inner.code_len
-
-    @property
-    def code_len(self) -> int:
-        return self.num_blocks * self.block_len
-
-    @property
-    def queries(self) -> int:
-        """Q: symbols read by one smooth decode."""
-        return self.t * (self.F.q - 1) * self.block_len
+    msg_len = property(lambda self: self.r)
+    t_smooth = property(lambda self: self.t)
+    capacity_syms = RmLdc.capacity
+    queries = RmLdc.queries_smooth
 
     @property
     def smoothness_bound(self) -> Fraction:
         """Per-index query probability bound t(q-1)/q^m == Q/R."""
         return Fraction(self.t * (self.F.q - 1), self.num_blocks)
-
-    def point_coords(self, p: int) -> tuple:
-        q = self.F.q
-        return tuple((p // q ** (self.m - 1 - a)) % q for a in range(self.m))
-
-    def point_index(self, coords) -> int:
-        q = self.F.q
-        p = 0
-        for c in coords:
-            p = p * q + int(c)
-        return p
-
-    def sym_position(self, i: int) -> int:
-        j, slot = divmod(i, self.e)
-        return self.rm.systematic_positions[j] * self.block_len + \
-            self.inner.systematic_positions[slot]
 
     def describe(self) -> dict:
         return {"k": self.K.k, "e": self.e, "q": self.F.q, "m": self.m,
@@ -147,100 +102,24 @@ class LargeLdcParams:
 
 
 # ---------------------------------------------------------------------------
-# encoding
-
-def ldc_large_encode(params: LargeLdcParams, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.int32)
-    if x.shape != (params.r,):
-        raise ValueError(f"message must be {params.r} symbols")
-    e = params.e
-    padded = np.zeros(params.capacity_syms, dtype=np.int32)
-    padded[:params.r] = x
-    syms = np.array([pack_symbols(params.K, params.F, padded[j * e:(j + 1) * e])
-                     for j in range(params.capacity_syms // e)], dtype=np.int32)
-    evals = params.rm.encode(syms)
-    out = np.empty(params.code_len, dtype=np.int32)
-    L = params.block_len
-    for p, s in enumerate(evals):
-        msg = np.array(unpack_symbol(params.K, params.F, int(s)), dtype=np.int32)
-        out[p * L:(p + 1) * L] = params.inner.encode(msg)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # smooth local decoding
 
-@dataclass
-class CurvePlanL:
-    blocks: list
-    positions: np.ndarray
-
-
-@dataclass
-class SmoothPlanL:
-    v0: tuple
-    offset: int           # inner position carrying the target symbol
-    slot: int             # packing slot of the target within h(0)
-    curves: list
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.concatenate([c.positions for c in self.curves])
-
-
-def sample_smooth_plan_large(params: LargeLdcParams, i: int, rng,
-                             index: str = "message") -> SmoothPlanL:
-    if index == "message":
-        block = params.rm.systematic_positions[i // params.e]
-        slot = i % params.e
-        offset = params.inner.systematic_positions[slot]
-    elif index == "codeword":
-        block, offset = divmod(i, params.block_len)
-        slot = -1
-    else:
-        raise ValueError("index must be 'message' or 'codeword'")
-    v0 = params.point_coords(block)
-    q = params.F.q
-    L = params.block_len
-    curves = []
-    for _ in range(params.t):
-        v1 = [rng.randrange(q) for _ in range(params.m)]
-        v2 = [rng.randrange(q) for _ in range(params.m)]
-        polys = [[v0[a], v1[a], v2[a]] for a in range(params.m)]
-        blocks = [params.point_index([poly_eval(params.F, cp, lam) for cp in polys])
-                  for lam in params.nonzero_points]
-        positions = np.concatenate([np.arange(p * L, (p + 1) * L) for p in blocks])
-        curves.append(CurvePlanL(blocks, positions))
-    return SmoothPlanL(v0, offset, slot, curves)
-
-
 def _curve_scan_tables(params: LargeLdcParams):
-    """Per-message outer-symbol rows and per-symbol inner words for the curve
-    code, so a scan reduces to one block/symbol distance table plus a gather.
-    Index space identical to codebook(curve_code) (K-digit lex order)."""
+    """Flat indices into the (block, F-symbol) distance table, one row per
+    curve message, so a scan reduces to that table plus a gather.  Index space
+    identical to codebook(curve_code) (K-digit lex order)."""
     tbl = getattr(params, "_curve_tbl", None)
     if tbl is None:
-        K, F = params.K, params.F
         cc = params.curve_code
-        outer, inner = cc.outer, cc.inner
-        e, T = inner.msg_len, outer.msg_len
-        qK, qF = K.q, F.q
-        pack_tbl = np.array(
-            [pack_symbols(K, F, [(v // qK ** (e - 1 - u)) % qK for u in range(e)])
-             for v in range(qF)], dtype=np.int64)
+        qF, T = params.F.q, cc.outer.msg_len
         idx = np.arange(cc.msg_space, dtype=np.int64)
         outer_idx = np.zeros_like(idx)
         for t in range(T):
-            outer_idx = outer_idx * qF + pack_tbl[(idx // qF ** (T - 1 - t)) % qF]
-        rows = codebook(outer).words[outer_idx].astype(np.int64)   # (space, nb)
-        inner_words = np.stack(
-            [inner.encode(np.array(unpack_symbol(K, F, s), dtype=np.int32))
-             for s in range(qF)]).astype(np.int32)                 # (qF, L)
-        # flat index into the (nb, qF) block/symbol distance table
+            outer_idx = outer_idx * qF + params.pack_tbl[(idx // qF ** (T - 1 - t)) % qF]
+        rows = codebook(cc.outer).words[outer_idx].astype(np.int64)   # (space, nb)
         nb = rows.shape[1]
         flat = (np.arange(nb, dtype=np.int64)[None, :] * qF + rows).astype(np.int32)
-        gather_buf = np.empty(flat.shape, dtype=np.int16)
-        tbl = (flat, inner_words, gather_buf)
+        tbl = (flat, np.empty(flat.shape, dtype=np.int16))
         params._curve_tbl = tbl
     return tbl
 
@@ -248,7 +127,8 @@ def _curve_scan_tables(params: LargeLdcParams):
 def _curve_dist2_all(params: LargeLdcParams, word: np.ndarray) -> np.ndarray:
     """dist2 from word to every curve codeword; equals
     codebook(curve_code).dist2_scan(word) entry for entry."""
-    flat, inner_words, gather_buf = _curve_scan_tables(params)
+    flat, gather_buf = _curve_scan_tables(params)
+    inner_words = params.inner_words
     qF, L = inner_words.shape
     nb = len(word) // L
     wb = word.reshape(nb, L)
@@ -260,7 +140,7 @@ def _curve_dist2_all(params: LargeLdcParams, word: np.ndarray) -> np.ndarray:
 
 
 def _decode_curve_large(params: LargeLdcParams, word):
-    """(curve message, dist2) of the closest codeword within erasure-aware
+    """(h(0), dist2) of the closest curve codeword within erasure-aware
     relative radius 1/2 - eps/2, or None.
 
     Conceptually: zero the erasures, list decode within radius 1 - eps/2
@@ -274,10 +154,12 @@ def _decode_curve_large(params: LargeLdcParams, word):
     L2 = 2 * params.curve_code.code_len
     if Fraction(int(d2[i]), L2) > Fraction(1, 2) - params.eps / 2:
         return None
-    return codebook(params.curve_code).msg_of_index(i), int(d2[i])
+    # the top e K-digits of message index i are the packing of h(0)
+    T = params.curve_code.outer.msg_len
+    return int(params.pack_tbl[i // params.F.q ** (T - 1)]), int(d2[i])
 
 
-def confidence_from_words_large(params: LargeLdcParams, plan: SmoothPlanL,
+def confidence_from_words_large(params: LargeLdcParams, plan: SmoothPlan,
                                 words) -> ConfidenceDist:
     t = params.t
     L2 = 2 * params.curve_code.code_len
@@ -288,27 +170,18 @@ def confidence_from_words_large(params: LargeLdcParams, plan: SmoothPlanL,
         if got is None:
             bot += Fraction(1, t)
             continue
-        msg, d2 = got
-        if plan.slot >= 0:
-            sigma = int(msg[plan.slot])          # h(0) unpacks to msg[:e]
-        else:
-            sigma = int(params.inner.encode(msg[:params.e])[plan.offset])
+        h0, d2 = got
+        sigma = int(params.inner_words[h0, plan.offset])
         delta = Fraction(d2, L2)
         mass[sigma] = mass.get(sigma, Fraction(0)) + (1 - 2 * delta) / t
         bot += 2 * delta / t
     return ConfidenceDist(mass, bot)
 
 
-def gather_syms(oracle, positions) -> np.ndarray:
-    if isinstance(oracle, np.ndarray):
-        return oracle[positions]
-    return np.array([oracle[int(p)] for p in positions], dtype=np.int32)
-
-
 def smooth_local_decode_large(oracle, i: int, params: LargeLdcParams, rng,
                               index: str = "message") -> ConfidenceDist:
-    plan = sample_smooth_plan_large(params, i, rng, index=index)
-    words = [gather_syms(oracle, c.positions) for c in plan.curves]
+    plan = sample_smooth_plan(params, i, rng, index=index)
+    words = [gather(oracle, c.positions) for c in plan.curves]
     return confidence_from_words_large(params, plan, words)
 
 
@@ -329,7 +202,7 @@ class UniformQuerySpec:
 @dataclass
 class QueryLists:
     lists: list           # r arrays of Q position indices
-    plans: list           # per-list SmoothPlanL (None for the uniform spec)
+    plans: list           # per-list SmoothPlan (None for the uniform spec)
     cap: int
     counts: np.ndarray    # how many lists touch each position
 
@@ -348,7 +221,7 @@ def gen_qlists(params, rng) -> QueryLists:
     if isinstance(params, LargeLdcParams):
         r, Q, R = params.r, params.queries, params.code_len
         def draw(i):
-            plan = sample_smooth_plan_large(params, i, rng)
+            plan = sample_smooth_plan(params, i, rng)
             return plan.positions, plan
     elif isinstance(params, UniformQuerySpec):
         r, Q, R = params.r, params.Q, params.R
@@ -380,7 +253,7 @@ def query_smoothness_check(params: LargeLdcParams, trials: int, rng) -> dict:
     hits = np.zeros(params.code_len, dtype=np.int64)
     for _ in range(trials):
         i = rng.randrange(params.r)
-        plan = sample_smooth_plan_large(params, i, rng)
+        plan = sample_smooth_plan(params, i, rng)
         hits[np.unique(plan.positions)] += 1
     bound = params.smoothness_bound
     return {

@@ -190,37 +190,43 @@ def _ser(obj, out: bytearray):
 
 def write_stream_file(path, word, field_k: int = 0):
     """field_k == 0 writes a bit stream; otherwise symbols over GF(2^k),
-    erasures allowed (stored as the out-of-range value q)."""
+    erasures allowed (stored as the out-of-range value q).  Values outside
+    the alphabet raise ValueError before anything is written."""
     word = np.asarray(word)
+    if field_k == 0:
+        if ((word < 0) | (word > 1)).any():
+            raise ValueError("bit stream values must be 0/1")
+        payload = np.packbits(word.astype(np.uint8), bitorder="little").tobytes()
+    else:
+        q = 1 << field_k
+        if ((word != ERASE) & ((word < 0) | (word >= q))).any():
+            raise ValueError(f"symbol out of range for GF(2^{field_k})")
+        width = (field_k + 8) // 8  # room for the erasure sentinel
+        payload = np.where(word == ERASE, q, word).astype(f"<u{width}").tobytes()
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(bytes([0 if field_k == 0 else 1, field_k]))
-        fh.write(struct.pack("<I", len(word)))
-        if field_k == 0:
-            if len(word) and ((word < 0) | (word > 1)).any():
-                raise ValueError("bit stream values must be 0/1")
-            fh.write(np.packbits(word.astype(np.uint8), bitorder="little").tobytes())
-        else:
-            q = 1 << field_k
-            vals = np.where(word == ERASE, q, word).astype(np.int64)
-            if len(vals) and (vals > q).any() or len(vals) and (vals < 0).any():
-                raise ValueError("symbol out of range")
-            width = (field_k + 8) // 8  # room for the erasure sentinel
-            fh.write(vals.astype(f"<u{width}").tobytes())
+        fh.write(MAGIC + bytes([0 if field_k == 0 else 1, field_k]))
+        fh.write(struct.pack("<I", len(word)) + payload)
 
 
 def read_stream_file(path):
-    """-> (word, field_k); bits give field_k == 0."""
+    """-> (word, field_k); bits give field_k == 0.  A payload shorter than
+    the declared length raises ValueError."""
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise ValueError("not a stream file")
         kind, field_k = fh.read(2)
         (n,) = struct.unpack("<I", fh.read(4))
-        if kind == 0:
-            bits = np.unpackbits(np.frombuffer(fh.read(), dtype=np.uint8),
-                                 bitorder="little")[:n]
-            return bits.astype(np.int32), 0
-        q = 1 << field_k
-        width = (field_k + 8) // 8
-        vals = np.frombuffer(fh.read(), dtype=f"<u{width}")[:n].astype(np.int32)
-        return np.where(vals == q, ERASE, vals), field_k
+        payload = fh.read()
+    if kind == 0:
+        vals = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")
+    else:
+        vals = np.frombuffer(payload, dtype=f"<u{(field_k + 8) // 8}")
+    if len(vals) < n:
+        raise ValueError(f"truncated stream file: {len(vals)} of {n} symbols")
+    vals = vals[:n].astype(np.int32)
+    if kind == 0:
+        return vals, 0
+    q = 1 << field_k
+    if (vals > q).any():
+        raise ValueError(f"symbol out of range for GF(2^{field_k})")
+    return np.where(vals == q, ERASE, vals), field_k

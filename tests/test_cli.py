@@ -120,6 +120,21 @@ def test_cli_repeat_decode_budget_invariant(tmp_path):
     assert rep["violations"] > 0
 
 
+def test_cli_repeat_decode_budget_zero(tmp_path):
+    # a zero budget is a budget, not "no override"
+    write_stream_file(tmp_path / "msg.bin", np.zeros(12, dtype=np.int32), 0)
+    main(["repeat-encode", "--profile", "repeat-unit",
+          "--in", str(tmp_path / "msg.bin"), "--out", str(tmp_path / "code.bin")])
+    rc = main(["repeat-decode", "--profile", "repeat-unit", "--seed", "0",
+               "--budget-bits", "0",
+               "--in", str(tmp_path / "code.bin"),
+               "--report", str(tmp_path / "rep.json")])
+    rep = json.loads((tmp_path / "rep.json").read_text())
+    assert rep["budget_bits"] == 0
+    assert rep["invariant_fired"]
+    assert rc != 0
+
+
 def test_cli_rejects_invalid_profile(tmp_path):
     bad = tmp_path / "bad.profile"
     bad.write_text("name=broken\ncodec=repeat\n")

@@ -12,7 +12,7 @@ from streamcode.codes import (LinearCode, codebook, doubly_extended_rs,
                               min_distance_bruteforce)
 from streamcode.ldc_large import LargeLdcParams, gen_qlists, ldc_large_encode
 from streamcode.stream import StreamExhausted, SymbolStream
-from streamcode.codec_tensor import (LinearFunctional, TensorParams, TupleIndex,
+from streamcode.codec_tensor import (LinearFunctional, TensorParams,
                                      base_symbol_code, default_instances,
                                      enc_linear, functional_dot,
                                      lift_functional, linear_dec,
@@ -72,18 +72,6 @@ def test_base_symbol_code_one_bit():
 def test_base_symbol_code_unsupported():
     with pytest.raises(ValueError):
         base_symbol_code(GF(4))
-
-
-def test_tuple_index():
-    t = TupleIndex((3, 0, 2))
-    assert t.flat(5) == 3 * 25 + 0 * 5 + 2
-    assert t.child(4).digits == (3, 0, 2, 4)
-    # lexicographic digit order = flat order
-    pairs = [(a, b) for a in range(3) for b in range(3)]
-    flats = [TupleIndex(p).flat(3) for p in pairs]
-    assert flats == sorted(flats)
-    from streamcode.codec_tensor import flat_to_tuple
-    assert flat_to_tuple(17, 5, 3) == (0, 3, 2)
 
 
 def test_linear_functional_restrict():

@@ -208,10 +208,10 @@ def test_advice_wrong_but_valid_advice_changes_answer_or_mismatches():
     x = random_message(p, rng)
     w = ldc_encode(p, x)
     adv = sample_advice(p, rng)
-    wrong_sym_bits = p.inner.encode(p.bits_of_sym[7])
+    wrong_sym_bits = p.inner_words[7]
     true_block = gather(w, list(adv.positions))
     if np.array_equal(true_block, wrong_sym_bits):
-        wrong_sym_bits = p.inner.encode(p.bits_of_sym[8])
+        wrong_sym_bits = p.inner_words[8]
     with pytest.raises(AdviceMismatch):
         decode_with_advice(w, 0, adv, wrong_sym_bits, p, rng)
 

@@ -115,3 +115,37 @@ def test_stream_file_wide_symbols(tmp_path):
 def test_stream_file_rejects_bad_bits(tmp_path):
     with pytest.raises(ValueError):
         write_stream_file(tmp_path / "bad.scs", np.array([0, 2]), field_k=0)
+
+
+def test_stream_file_rejects_symbol_q(tmp_path):
+    # q itself is the on-disk erasure sentinel, so it is not a symbol
+    with pytest.raises(ValueError):
+        write_stream_file(tmp_path / "bad.scs", np.array([16, 3]), field_k=4)
+    with pytest.raises(ValueError):
+        write_stream_file(tmp_path / "bad.scs", np.array([3, -2]), field_k=4)
+
+
+def test_stream_file_read_rejects_value_above_q(tmp_path):
+    path = tmp_path / "bad.scs"
+    write_stream_file(path, np.array([3, 5]), field_k=4)
+    raw = bytearray(path.read_bytes())
+    raw[10] = 17  # neither a GF(16) symbol nor the erasure sentinel 16
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError):
+        read_stream_file(path)
+
+
+def test_stream_file_truncated_symbols(tmp_path):
+    path = tmp_path / "cut.scs"
+    write_stream_file(path, np.arange(100) % 16, field_k=4)
+    path.write_bytes(path.read_bytes()[:10 + 64])  # header + 64 of 100 symbols
+    with pytest.raises(ValueError):
+        read_stream_file(path)
+
+
+def test_stream_file_truncated_bits(tmp_path):
+    path = tmp_path / "cut.scs"
+    write_stream_file(path, np.arange(100) % 2, field_k=0)
+    path.write_bytes(path.read_bytes()[:10 + 8])  # header + 64 of 100 bits
+    with pytest.raises(ValueError):
+        read_stream_file(path)
