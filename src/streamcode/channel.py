@@ -21,6 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .codes import word_dist2
 from .gf import ERASE
 
 
@@ -145,10 +146,4 @@ def blockzero_attack(word, block_len: int, window_step: int, rng,
     return word
 
 
-def corruption_dist2(original, corrupted) -> int:
-    """dist2 between the two words (erasures in the corrupted word cost 1)."""
-    original = np.asarray(original)
-    corrupted = np.asarray(corrupted)
-    era = int((corrupted == ERASE).sum())
-    mism = int((original != corrupted).sum())
-    return 2 * (mism - era) + era
+corruption_dist2 = word_dist2  # dist2 between the clean and the corrupted word

@@ -7,8 +7,9 @@ blocks in lexicographic tuple order).
 
 The decoder computes one K-linear functional of the message from the
 (possibly corrupted) stream.  recurse_linear works on a tuple T of block
-indices: at the base it decodes one inner block to a symbol sigma and keeps
-it with probability 1 - 2*delta(block, encoding of sigma); at level a it
+indices: at the base it reads the block's shared outcome, a symbol sigma
+kept with probability 1 - 2*delta(block, encoding of sigma) by one coin
+drawn before any instance runs (_decode_base_blocks); at level a it
 restricts the functional to each first-axis message index i, recursively
 evaluates the children queried by that index's smooth-decoding plan, runs the
 confidence decoder over the returned values, and returns sigma_1 + ... + sigma_r
@@ -39,7 +40,8 @@ from fractions import Fraction
 import numpy as np
 
 from .gf import ERASE, GF, FieldSpec, field_mul, mul_lut, pack_symbols
-from .codes import LinearCode, codebook, concat, repetition_code, symbol_words
+from .codes import (LinearCode, block_dist2, codebook, concat, repetition_code,
+                    symbol_words)
 from .ldc_large import (LargeLdcParams, QueryLists, confidence_from_words_large,
                         gen_qlists, overlap_cap)
 from .stream import SymbolStream
@@ -245,7 +247,7 @@ def _base_tables(params: TensorParams):
             raise ValueError("base decode table capped at 16-bit blocks")
         cb = codebook(params.base_code)
         bits = (np.arange(1 << N)[:, None] >> np.arange(N)) & 1
-        d2 = 2 * (bits[:, None, :] != cb.words[None, :, :]).sum(axis=2)
+        d2 = block_dist2(bits, cb.words)
         best = np.argmin(d2, axis=1)
         best_d2 = d2[np.arange(1 << N), best]
         radius2 = (params.base_code.dist2_bound - 1) // 2
@@ -257,41 +259,40 @@ def _base_tables(params: TensorParams):
     return tbl
 
 
-def _base_outcome(params: TensorParams, key: tuple, block_bits, rng,
-                  base_cache: dict):
-    """Shared symbol/⊥ outcome of one base block: unique decode, then one
-    acceptance coin at probability 1 - 2*delta; cached per block tuple."""
-    if key in base_cache:
-        return base_cache[key]
-    syms, d2s = _base_tables(params)
-    idx = int(np.dot(np.asarray(block_bits, dtype=np.int64),
-                     1 << np.arange(params.N_inner, dtype=np.int64)))
-    sym, d2 = int(syms[idx]), int(d2s[idx])
-    if sym < 0:
-        out = None
-    else:
-        out = sym if _coin(rng, 1 - Fraction(d2, params.N_inner)) else None
-    base_cache[key] = out
+def _decode_base_blocks(params: TensorParams, word, keys, rng) -> dict:
+    """Shared symbol/⊥ outcome of every base block tuple in keys: unique
+    decode, then one acceptance coin at probability 1 - 2*delta, drawn in
+    key order (the stream order when keys are)."""
+    d, Ni = params.depth, params.N_inner
+    flats = np.array([sum(j * params.R ** (d - 1 - u) for u, j in enumerate(k))
+                      for k in keys], dtype=np.int64)
+    blocks = np.asarray(word)[flats[:, None] * Ni + np.arange(Ni)]
+    syms_tbl, d2_tbl = _base_tables(params)
+    idxs = blocks.astype(np.int64) @ (1 << np.arange(Ni, dtype=np.int64))
+    out = {}
+    for key, sym, d2 in zip(keys, syms_tbl[idxs].tolist(), d2_tbl[idxs].tolist()):
+        accept = sym >= 0 and _coin(rng, 1 - Fraction(d2, Ni))
+        out[key] = sym if accept else None
     return out
 
 
-def recurse_linear(params: TensorParams, a: int, segment, T: tuple,
+def recurse_linear(params: TensorParams, a: int, T: tuple,
                    ell: LinearFunctional, qlists: dict, rng,
-                   base_cache: dict, node_cache: dict | None = None):
-    """Value of the functional ell on the message behind this stream segment,
-    or None (⊥).  a is the remaining depth; T the block tuple addressed so
-    far; qlists maps each remaining depth to its per-index query lists."""
+                   base_cache: dict, node_cache: dict):
+    """Value of the functional ell on the message behind block tuple T, or
+    None (⊥).  a is the remaining depth; qlists maps each remaining depth to
+    its per-index query lists; base_cache holds the shared outcome of every
+    base block the lists reach (see _decode_base_blocks)."""
     if a == 0:
-        out = _base_outcome(params, T, segment, rng, base_cache)
+        out = base_cache[T]
         if out is None:
             return None
         return field_mul(params.K, ell.scalar, out)
     key = (T, ell.path)
-    cached = node_cache.get(key) if (node_cache is not None and a == 1) else None
+    cached = node_cache.get(key) if a == 1 else None
     if cached is None:
-        value, p = _node_value(params, a, segment, T, ell, qlists, rng,
-                               base_cache, node_cache)
-        if node_cache is not None and a == 1:
+        value, p = _node_value(params, a, T, ell, qlists, rng, base_cache, node_cache)
+        if a == 1:
             node_cache[key] = (value, p)
     else:
         value, p = cached
@@ -300,30 +301,23 @@ def recurse_linear(params: TensorParams, a: int, segment, T: tuple,
     return value if _coin(rng, p) else None
 
 
-def _node_value(params: TensorParams, a: int, segment, T: tuple,
-                ell: LinearFunctional, qlists: dict, rng,
-                base_cache: dict, node_cache: dict | None):
+def _node_value(params: TensorParams, a: int, T: tuple, ell: LinearFunctional,
+                qlists: dict, rng, base_cache: dict, node_cache: dict):
     """(sigma_1 + ... + sigma_r, min_i p_i) before the acceptance coin, or
     (None, 0) when any index yields no field-symbol mass at all."""
-    ldc = params.ldc
-    R = params.R
-    sub = len(segment) // R
     ql: QueryLists = qlists[a]
     total = 0
     p_min = Fraction(1)
     for i in range(params.r):
         child_ell = ell.restrict(i, params.r)
-        values = {}
-        for j in sorted({int(p) for p in ql.lists[i]}):
-            values[j] = recurse_linear(params, a - 1,
-                                       segment[j * sub:(j + 1) * sub],
-                                       T + (j,), child_ell, qlists, rng,
-                                       base_cache, node_cache)
+        values = {j: recurse_linear(params, a - 1, T + (j,), child_ell, qlists, rng,
+                                    base_cache, node_cache)
+                  for j in sorted({int(p) for p in ql.lists[i]})}
         plan = ql.plans[i]
         words = [np.array([ERASE if values[int(j)] is None else values[int(j)]
                            for j in cv.positions], dtype=np.int32)
                  for cv in plan.curves]
-        sigma, p_sig, _ = confidence_from_words_large(ldc, plan, words).merged()
+        sigma, p_sig, _ = confidence_from_words_large(params.ldc, plan, words).merged()
         if sigma is None:
             return None, Fraction(0)
         total ^= sigma
@@ -365,32 +359,15 @@ def linear_dec_traced(params: TensorParams, stream: SymbolStream, ell_bits,
         live_cap[depth_j] = params.cap ** depth_j
 
     # shared base outcomes, drawn in stream order (fixed coin schedule)
-    base_cache: dict = {}
     needed = [sorted({int(p) for lst in qlists[a].lists for p in lst})
               for a in range(d, 0, -1)]
-    Ni = params.N_inner
-    keys = list(_lex_product(needed))
-    flats = np.array([[sum(j * params.R ** (d - 1 - u) for u, j in enumerate(k))]
-                      for k in keys], dtype=np.int64)
-    blocks = word[(flats * Ni + np.arange(Ni)).reshape(len(keys), Ni)]
-    syms_tbl, d2_tbl = _base_tables(params)
-    idxs = blocks.astype(np.int64) @ (1 << np.arange(Ni, dtype=np.int64))
-    best_sym, best_d2 = syms_tbl[idxs], d2_tbl[idxs]
-    for key, sym, d2 in zip(keys, best_sym, best_d2):
-        sym, d2 = int(sym), int(d2)
-        if sym < 0:
-            base_cache[key] = None
-        elif d2 == 0:
-            base_cache[key] = sym
-        else:
-            accept = _coin(rng, 1 - Fraction(d2, Ni))
-            base_cache[key] = sym if accept else None
+    base_cache = _decode_base_blocks(params, word, list(_lex_product(needed)), rng)
 
     node_cache: dict = {}
     votes, bots = [], 0
     for seed in seeds:
         inst_rng = random.Random(seed)
-        val = recurse_linear(params, d, word, (), ell, qlists, inst_rng,
+        val = recurse_linear(params, d, (), ell, qlists, inst_rng,
                              base_cache, node_cache)
         if val is None:
             bots += 1

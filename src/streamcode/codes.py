@@ -6,6 +6,14 @@ field.  Words (received vectors) are int numpy arrays where ERASE (-1) marks
 an erasure; distances are tracked as integer "dist2" values (twice the
 absolute distance) so that erasures can count exactly one half each.
 
+Every word-to-code distance goes through block_dist2, the dist2 of each
+block of a word to each row of a table of inner codewords.  A plain code's
+Codebook scans its whole codeword table as one block.  A concatenated code's
+Codebook measures each block against the |F| inner codewords once and sums
+the outer codewords' entries with one gather, so it never builds the
+codeword table.  GMD's inner decode and the tensor codec's base table use
+the same function against the inner code's codewords.
+
 Decoding entry points:
 
 - nearest_codeword_bruteforce / min_distance_bruteforce: exhaustive scans over
@@ -16,8 +24,12 @@ Decoding entry points:
   (per-block inner decode, then an erasure sweep ordered by block confidence,
   each step finished by a Berlekamp-Welch errors-and-erasures solve); anything
   else small enough falls back to the brute-force scan.
-- list_decode_concat: all codewords within a radius, by exhaustive codebook
-  scan (the codebook is capped at 2^20 messages by design).
+- list_decode_concat: all codewords within a radius, by one codebook scan
+  (block table plus gather for concatenated codes; the codebook is capped at
+  2^20 messages by design).
+
+Linear algebra over the field (make_systematic, gf_solve, validate) is one
+Gauss-Jordan elimination, _rref.
 """
 
 from __future__ import annotations
@@ -70,8 +82,7 @@ class LinearCode:
 
     def validate(self):
         """Check full column rank and (if present) the systematic layout."""
-        rows = [list(map(int, self.gen[:, j])) for j in range(self.msg_len)]
-        if _gf_rank(self.field, rows) != self.msg_len:
+        if len(_rref(self.field, self.gen.T)[1]) != self.msg_len:
             raise ValueError("generator does not have full column rank")
         if self.systematic_positions is not None:
             sub = self.gen[list(self.systematic_positions)]
@@ -112,83 +123,68 @@ class ConcatCode(LinearCode):
 # distances
 
 def word_dist2(w, c) -> int:
-    """2*(Hamming distance) where erasures in w count 1 (i.e. one half)."""
+    """2*(Hamming distance) where a position erased in exactly one of the two
+    words counts 1 (i.e. one half)."""
     w = np.asarray(w)
     c = np.asarray(c)
-    era = int((w == ERASE).sum())
-    mism = int((w != c).sum())  # erasure positions always count as mismatches here
-    return 2 * (mism - era) + era
+    era = int(((w == ERASE) != (c == ERASE)).sum())
+    return 2 * int((w != c).sum()) - era
+
+
+def _dist2_dtype(length: int):
+    """int16 holds every dist2 of a word shorter than 2^14 symbols."""
+    return np.int16 if length < 1 << 14 else np.int64
+
+
+def block_dist2(blocks, table: np.ndarray) -> np.ndarray:
+    """(len(blocks), len(table)) dist2 of every block (a row of `blocks`,
+    erasures allowed) to every row of `table`: 2 * mismatches - erasures."""
+    dt = _dist2_dtype(table.shape[1])
+    blocks = np.asarray(blocks).astype(table.dtype, copy=False)
+    era = (blocks == ERASE).sum(axis=1, dtype=dt)
+    mism = (table[None, :, :] != blocks[:, None, :]).sum(axis=2, dtype=dt)
+    return 2 * mism - era[:, None]
 
 
 # ---------------------------------------------------------------------------
-# small dense linear algebra over GF(2^k) (python lists; matrices stay small)
+# dense linear algebra over GF(2^k)
 
-def _gf_rank(K: FieldSpec, rows) -> int:
-    rows = [r[:] for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = field_inv(K, rows[rank][col])
-        rows[rank] = [field_mul(K, inv, v) for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a ^ field_mul(K, f, b) for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
+def _rref(K: FieldSpec, M) -> tuple:
+    """(R, pivot_cols): the reduced row echelon form of M over K by one
+    Gauss-Jordan elimination.  Each pivot is the first nonzero entry at or
+    below the current row; the pivot columns are the lexicographically first
+    set of independent columns."""
+    R = np.array(M, dtype=np.int32)
+    nrows, ncols = R.shape
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
             break
-    return rank
+        nz = np.flatnonzero(R[r:, c])
+        if not len(nz):
+            continue
+        R[[r, r + nz[0]]] = R[[r + nz[0], r]]
+        R[r] = mul_lut(K, field_inv(K, int(R[r, c])))[R[r]]
+        f = R[:, c].copy()
+        f[r] = 0
+        rows = np.flatnonzero(f)
+        R[rows] ^= mul_arrays(K, f[rows, None], R[r])
+        pivots.append(c)
+    return R, pivots
 
 
 def gf_solve(K: FieldSpec, A, b):
     """One solution of A x = b over the field, or None.  Free variables -> 0."""
-    nrows, ncols = len(A), len(A[0]) if A else 0
-    aug = [list(map(int, A[i])) + [int(b[i])] for i in range(nrows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = field_inv(K, aug[r][c])
-        aug[r] = [field_mul(K, inv, v) for v in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x ^ field_mul(K, f, y) for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols]:
-            return None  # inconsistent
+    A = np.asarray(A, dtype=np.int32)
+    ncols = A.shape[1]
+    R, pivots = _rref(K, np.column_stack([A, np.asarray(b, dtype=np.int32)]))
+    if pivots and pivots[-1] == ncols:
+        return None  # inconsistent
     x = [0] * ncols
     for i, c in enumerate(pivots):
-        x[c] = aug[i][ncols]
+        x[c] = int(R[i, ncols])
     return x
-
-
-def gf_mat_inv(K: FieldSpec, A):
-    n = len(A)
-    aug = [list(map(int, A[i])) + [int(i == j) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = field_inv(K, aug[c][c])
-        aug[c] = [field_mul(K, inv, v) for v in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x ^ field_mul(K, f, y) for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
 
 
 # ---------------------------------------------------------------------------
@@ -254,29 +250,10 @@ def rm_code(F: FieldSpec, m: int, d: int) -> LinearCode:
 def make_systematic(code: LinearCode) -> LinearCode:
     """Re-parameterize so the message reads back at a fixed set of positions,
     chosen greedily in position order (first lexicographic information set)."""
-    K = code.field
-    m = code.msg_len
-    pivots, rows = [], []
-    for p in range(code.code_len):
-        cand = rows + [list(map(int, code.gen[p]))]
-        if _gf_rank(K, cand) == len(cand):
-            rows = cand
-            pivots.append(p)
-            if len(pivots) == m:
-                break
-    if len(pivots) < m:
+    R, pivots = _rref(code.field, code.gen.T)
+    if len(pivots) < code.msg_len:
         raise ValueError("generator does not have full column rank")
-    inv = gf_mat_inv(K, rows)
-    # new_gen = gen @ inv, column by column
-    cols = []
-    for j in range(m):
-        col = np.zeros(code.code_len, dtype=np.int32)
-        for t in range(m):
-            c = inv[t][j]
-            if c:
-                col ^= mul_lut(K, c)[code.gen[:, t]]
-        cols.append(col)
-    new = LinearCode(K, np.stack(cols, axis=1), kind=code.kind,
+    new = LinearCode(code.field, R.T, kind=code.kind,
                      systematic_positions=tuple(pivots), dist2_bound=code.dist2_bound)
     for attr in ("rm_m", "rm_d", "eval_points"):
         if hasattr(code, attr):
@@ -308,6 +285,14 @@ def concat(outer: LinearCode, inner: LinearCode) -> ConcatCode:
                     dist2_bound=outer.dist2_bound * inner.dist2_bound // 2,
                     outer=outer, inner=inner)
     return cc
+
+
+def pack_table(K: FieldSpec, F: FieldSpec) -> np.ndarray:
+    """F-symbol that each group of F.k/K.k K-symbols packs into, indexed by
+    the group's lex value (symbol 0 most significant)."""
+    e = F.k // K.k
+    return np.array([pack_symbols(K, F, [(v // K.q ** (e - 1 - u)) % K.q for u in range(e)])
+                     for v in range(F.q)], dtype=np.int64)
 
 
 def symbol_words(inner: LinearCode, F: FieldSpec) -> np.ndarray:
@@ -374,27 +359,37 @@ def doubly_extended_rs(F: FieldSpec) -> LinearCode:
 
 class Codebook:
     """All codewords of a small code, message index in lexicographic order
-    (message symbol 0 most significant).  Binary codes also keep a packed-bit
-    copy for fast distance scans."""
+    (message symbol 0 most significant).
+
+    A plain code keeps every codeword in `words`.  A concatenated code keeps
+    none: per message it holds its outer codeword as flat indices into the
+    (block, F-symbol) table of block distances to the |F| inner codewords,
+    so a scan measures each block once and sums one gather."""
 
     def __init__(self, code: LinearCode):
         if code.msg_space > BRUTE_FORCE_LIMIT:
             raise ValueError(f"message space {code.msg_space} exceeds the enumeration cap")
         self.code = code
-        K = code.field
-        q, m, M = K.q, code.msg_len, code.code_len
-        n = code.msg_space
-        dtype = np.uint8 if q <= 128 else np.int16  # keep headroom vs the -1 erasure cast
-        words = np.zeros((n, M), dtype=dtype)
-        idx = np.arange(n)
+        self.words = None
+        idx = np.arange(code.msg_space, dtype=np.int64)
+        if isinstance(code, ConcatCode):
+            outer, F = code.outer, code.outer.field
+            self.inner_words = symbol_words(code.inner, F)   # (|F|, block_len)
+            # lex index over K-digits -> lex index over the packed F-symbols
+            pack = pack_table(code.field, F)
+            outer_idx = np.zeros_like(idx)
+            for t in range(outer.msg_len):
+                outer_idx = outer_idx * F.q + pack[(idx // F.q ** (outer.msg_len - 1 - t)) % F.q]
+            rows = codebook(outer).words[outer_idx]
+            self.flat = np.arange(outer.code_len, dtype=np.intp) * F.q + rows  # take()'s index type
+            self._gather = np.empty(self.flat.shape, dtype=_dist2_dtype(code.block_len))
+            return
+        K, m = code.field, code.msg_len
+        self.words = np.zeros((code.msg_space, code.code_len), dtype=np.int16)
         for j in range(m):
-            digit = (idx // q ** (m - 1 - j)) % q
-            contrib = np.stack([mul_lut(K, v)[code.gen[:, j]] for v in range(q)]).astype(dtype)
-            words ^= contrib[digit]
-        self.packed = np.packbits(words, axis=1) if K.k == 1 else None
-        # big binary codebooks keep only the packed copy (the flat table can
-        # run to tens of MB and every scan that needs it fits the packed path)
-        self.words = None if (K.k == 1 and n > 4096) else words
+            digit = (idx // K.q ** (m - 1 - j)) % K.q
+            contrib = np.stack([mul_lut(K, v)[code.gen[:, j]] for v in range(K.q)])
+            self.words ^= contrib.astype(np.int16)[digit]
 
     def msg_of_index(self, i: int) -> np.ndarray:
         K, m = self.code.field, self.code.msg_len
@@ -403,15 +398,11 @@ class Codebook:
     def dist2_scan(self, w) -> np.ndarray:
         """dist2 from w to every codeword (erasures allowed, charged 1 each)."""
         w = np.asarray(w, dtype=np.int32)
-        n_era = int((w == ERASE).sum())
-        if self.packed is not None and n_era == 0:
-            wp = np.packbits(w.astype(np.uint8))
-            mism = np.bitwise_count(self.packed ^ wp).sum(axis=1, dtype=np.int64)
-            return 2 * mism
-        if self.words is None:
-            raise ValueError("erasure scan not supported on packed-only codebooks")
-        mism = (self.words != w.astype(self.words.dtype)).sum(axis=1, dtype=np.int64)
-        return 2 * mism - n_era
+        if self.words is not None:
+            return block_dist2(w[None], self.words)[0]
+        d2 = block_dist2(w.reshape(-1, self.inner_words.shape[1]), self.inner_words)
+        np.take(d2.ravel(), self.flat, out=self._gather)
+        return self._gather.sum(axis=1, dtype=np.int64)
 
 
 def codebook(code: LinearCode) -> Codebook:
@@ -477,11 +468,7 @@ def _gmd_decode(cc: ConcatCode, w, radius2: int):
     w = np.asarray(w, dtype=np.int32)
     n_blocks, blen = cc.num_blocks, cc.block_len
     icb = codebook(cc.inner)
-    blocks = w.reshape(n_blocks, blen)
-    # vectorized inner scan: dist2 of every block to every inner codeword
-    era = (blocks == ERASE).sum(axis=1)
-    mism = (icb.words[None, :, :] != blocks[:, None, :].astype(np.int32)).sum(axis=2)
-    d2 = 2 * mism - era[:, None]
+    d2 = block_dist2(w.reshape(n_blocks, blen), icb.words)
     best = np.argmin(d2, axis=1)
     best_d2 = d2[np.arange(n_blocks), best]
     syms = np.array([pack_symbols(K, F, icb.msg_of_index(int(b))) for b in best], dtype=np.int32)

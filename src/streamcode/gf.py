@@ -17,7 +17,6 @@ and are never valid operands for the arithmetic here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -169,21 +168,21 @@ def mul_vec(K: FieldSpec, c: int, xs: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _exp_log_arrays(k: int):
+    """exp and log as arrays, with log[0] pointed past every sum of two
+    nonzero logs into a run of zeros, so exp[log[a] + log[b]] == a * b."""
     exp, log, _ = _tables(k)
-    return np.array(exp, dtype=np.int32), np.array(log, dtype=np.int64)
+    zero = len(exp)   # 2(q-1) > any sum of two logs in [0, q-2]
+    exp_z = np.zeros(2 * zero + 1, dtype=np.int32)
+    exp_z[:zero] = exp
+    log_z = np.array(log, dtype=np.int64)
+    log_z[0] = zero
+    return exp_z, log_z
 
 
 def mul_arrays(K: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise product of two same-shape arrays over GF(2^k)."""
+    """Elementwise product of two broadcastable arrays over GF(2^k)."""
     exp, log = _exp_log_arrays(K.k)
-    a = np.asarray(a, dtype=np.int32)
-    b = np.asarray(b, dtype=np.int32)
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int32)
-    nz = (a != 0) & (b != 0)
-    if nz.any():
-        av, bv = np.broadcast_arrays(a, b)
-        out[nz] = exp[log[av[nz]] + log[bv[nz]]]
-    return out
+    return exp[log[np.asarray(a)] + log[np.asarray(b)]]
 
 
 def gf_matvec(K: FieldSpec, gen: np.ndarray, msg) -> np.ndarray:
@@ -401,7 +400,3 @@ def pack_symbols(K: FieldSpec, F: FieldSpec, syms) -> int:
 def unpack_symbol(K: FieldSpec, F: FieldSpec, x: int):
     _, unpack = _pack_tables(K.k, F.k)
     return unpack[int(x)]
-
-
-def frac(x, y=1) -> Fraction:
-    return Fraction(x, y)

@@ -26,8 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codes import concat, make_systematic, rm_code, rs_code, symbol_words
-from .gf import GF, field_pow, mul_lut, pack_symbols
+from .codes import concat, make_systematic, pack_table, rm_code, rs_code, symbol_words
+from .gf import GF, field_pow, mul_lut
 
 
 class RmLdc:
@@ -48,13 +48,10 @@ class RmLdc:
         # restriction of the code to a degree-2 curve: RS on F* of degree 2d
         self.curve_code = concat(rs_code(self.F, self.nonzero_points, 2 * self.d + 1),
                                  self.inner)
-        K, F, e = self.K, self.F, self.e
         # F-symbol of the K-digit group with lex index v (digit 0 most significant)
-        self.pack_tbl = np.array(
-            [pack_symbols(K, F, [(v // K.q ** (e - 1 - u)) % K.q for u in range(e)])
-             for v in range(F.q)], dtype=np.int64)
-        self._digit_weights = K.q ** np.arange(e - 1, -1, -1, dtype=np.int64)
-        self.inner_words = symbol_words(self.inner, F)   # (q_F, L)
+        self.pack_tbl = pack_table(self.K, self.F)
+        self._digit_weights = self.K.q ** np.arange(self.e - 1, -1, -1, dtype=np.int64)
+        self.inner_words = symbol_words(self.inner, self.F)   # (q_F, L)
 
     # -- derived sizes ------------------------------------------------------
 

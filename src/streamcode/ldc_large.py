@@ -10,7 +10,9 @@ on field symbols plus an erasure mass, summing to one.  Per curve, the unique
 decoding within radius 1/2 - eps/2 (erasure-aware) is realized by zeroing
 erasures, list decoding within radius 1 - eps/2, and keeping the candidate of
 least true distance among those within the unique radius; a decoded curve
-contributes mass 1 - 2*delta on its symbol and 2*delta on ⊥.
+contributes mass 1 - 2*delta on its symbol and 2*delta on ⊥.  The scan is
+the curve code's codes.Codebook scan: one table of block distances to the
+|F| inner codewords per word, then one gather over every curve message.
 
 gen_qlists draws per-index query plans whose positions respect a global
 overlap cap (no position serves more than ceil(3 r Q^2 / R) of the r lists),
@@ -27,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf import ERASE, GF, FieldSpec
+from .gf import GF, FieldSpec
 from .codes import LinearCode, codebook
 from .ldc_core import RmLdc, SmoothPlan, encode, gather, sample_smooth_plan
 
@@ -104,41 +106,6 @@ class LargeLdcParams(RmLdc):
 # ---------------------------------------------------------------------------
 # smooth local decoding
 
-def _curve_scan_tables(params: LargeLdcParams):
-    """Flat indices into the (block, F-symbol) distance table, one row per
-    curve message, so a scan reduces to that table plus a gather.  Index space
-    identical to codebook(curve_code) (K-digit lex order)."""
-    tbl = getattr(params, "_curve_tbl", None)
-    if tbl is None:
-        cc = params.curve_code
-        qF, T = params.F.q, cc.outer.msg_len
-        idx = np.arange(cc.msg_space, dtype=np.int64)
-        outer_idx = np.zeros_like(idx)
-        for t in range(T):
-            outer_idx = outer_idx * qF + params.pack_tbl[(idx // qF ** (T - 1 - t)) % qF]
-        rows = codebook(cc.outer).words[outer_idx].astype(np.int64)   # (space, nb)
-        nb = rows.shape[1]
-        flat = (np.arange(nb, dtype=np.int64)[None, :] * qF + rows).astype(np.int32)
-        tbl = (flat, np.empty(flat.shape, dtype=np.int16))
-        params._curve_tbl = tbl
-    return tbl
-
-
-def _curve_dist2_all(params: LargeLdcParams, word: np.ndarray) -> np.ndarray:
-    """dist2 from word to every curve codeword; equals
-    codebook(curve_code).dist2_scan(word) entry for entry."""
-    flat, gather_buf = _curve_scan_tables(params)
-    inner_words = params.inner_words
-    qF, L = inner_words.shape
-    nb = len(word) // L
-    wb = word.reshape(nb, L)
-    era = (wb == ERASE).sum(axis=1, dtype=np.int16)
-    mism = (inner_words[None, :, :] != wb[:, None, :]).sum(axis=2, dtype=np.int16)
-    block_d2 = 2 * mism - era[:, None]                             # (nb, qF)
-    np.take(block_d2.ravel(), flat, out=gather_buf)
-    return gather_buf.sum(axis=1, dtype=np.int64)
-
-
 def _decode_curve_large(params: LargeLdcParams, word):
     """(h(0), dist2) of the closest curve codeword within erasure-aware
     relative radius 1/2 - eps/2, or None.
@@ -148,8 +115,7 @@ def _decode_curve_large(params: LargeLdcParams, word):
     list contains every candidate within the true radius), then re-check with
     the erasure-aware distance.  Since the scan is exhaustive anyway, one
     erasure-aware scan computes the same closest-in-radius answer."""
-    word = np.asarray(word, dtype=np.int32)
-    d2 = _curve_dist2_all(params, word)
+    d2 = codebook(params.curve_code).dist2_scan(word)
     i = int(np.argmin(d2))  # ties break to the smallest message index
     L2 = 2 * params.curve_code.code_len
     if Fraction(int(d2[i]), L2) > Fraction(1, 2) - params.eps / 2:

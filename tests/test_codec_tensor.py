@@ -18,7 +18,8 @@ from streamcode.codec_tensor import (LinearFunctional, TensorParams,
                                      lift_functional, linear_dec,
                                      linear_dec_traced, recurse_linear,
                                      tensor_encode, tensor_regime,
-                                     _base_outcome, _base_tables)
+                                     _base_tables, _decode_base_blocks,
+                                     _symbol_bit_words)
 
 GF4 = GF(2)
 
@@ -219,51 +220,65 @@ def test_enc_linear_rejects_bad_input():
 # ---------------------------------------------------------------------------
 # base layer
 
+def word_with_blocks(P, blocks):
+    """An all-zero stream word holding each given block at its block tuple."""
+    word = np.zeros(P.code_bits, dtype=np.int32)
+    view = word.reshape((P.R,) * P.depth + (P.N_inner,))
+    for key, blk in blocks.items():
+        view[key] = blk
+    return word
+
+
 def test_base_outcome_uncorrupted_always_accepts():
     P = toy_params()
-    from streamcode.codec_tensor import _symbol_bit_words
     words = _symbol_bit_words(P)
-    for s in range(4):
-        for seed in range(5):
-            out = _base_outcome(P, ("t", s, seed), words[s],
-                                random.Random(seed), {})
-            assert out == s
+    keys = [(s, seed) for s in range(4) for seed in range(5)]
+    word = word_with_blocks(P, {k: words[k[0]] for k in keys})
+    rng = random.Random(0)
+    state = rng.getstate()
+    assert _decode_base_blocks(P, word, keys, rng) == {k: k[0] for k in keys}
+    assert rng.getstate() == state     # an exact block draws no coin
 
 
 def test_base_outcome_two_flips_half_acceptance():
     P = toy_params()
-    from streamcode.codec_tensor import _symbol_bit_words
     words = _symbol_bit_words(P)
     rng = random.Random(404)
-    kept = 0
     trials = 800
-    for t in range(trials):
-        s = rng.randrange(4)
+    keys = [divmod(t, P.R) for t in range(trials)]
+    sent, blocks = {}, {}
+    for key in keys:
+        sent[key] = s = rng.randrange(4)
         blk = words[s].copy()
         i, j = rng.sample(range(8), 2)
         blk[i] ^= 1
         blk[j] ^= 1
-        out = _base_outcome(P, (t,), blk, rng, {})
-        if out is not None:
-            assert out == s          # two flips stay inside the unique radius
-            kept += 1
-    assert 0.43 < kept / trials < 0.57    # true acceptance rate is exactly 1/2
+        blocks[key] = blk
+    out = _decode_base_blocks(P, word_with_blocks(P, blocks), keys, rng)
+    kept = [k for k in keys if out[k] is not None]
+    assert all(out[k] == sent[k] for k in kept)  # two flips stay inside the unique radius
+    assert 0.43 < len(kept) / trials < 0.57      # true acceptance rate is exactly 1/2
 
 
 def test_base_outcome_shared_across_rngs():
     P = toy_params()
-    from streamcode.codec_tensor import _symbol_bit_words
     words = _symbol_bit_words(P)
-    cache = {}
-    outs_a = []
-    rng_a, rng_b = random.Random(1), random.Random(2)
+    blocks = {}
     for t in range(30):
         blk = words[t % 4].copy()
         blk[t % 8] ^= 1
         blk[(t + 3) % 8] ^= 1
-        outs_a.append(_base_outcome(P, (t,), blk, rng_a, cache))
-    outs_b = [_base_outcome(P, (t,), None, rng_b, cache) for t in range(30)]
+        blocks[(0, t)] = blk
+    keys = list(blocks)
+    cache = _decode_base_blocks(P, word_with_blocks(P, blocks), keys, random.Random(1))
+    outs_a = [cache[k] for k in keys]
+    # every instance reads the shared outcome at depth 0 and draws no coin
+    rng_b = random.Random(2)
+    state = rng_b.getstate()
+    one = LinearFunctional(P.K, [1])
+    outs_b = [recurse_linear(P, 0, k, one, {}, rng_b, cache, {}) for k in keys]
     assert outs_a == outs_b
+    assert rng_b.getstate() == state
     assert any(o is None for o in outs_a) and any(o is not None for o in outs_a)
 
 
@@ -291,8 +306,10 @@ def test_recurse_depth_one_small_instance_uncorrupted():
         cw = enc_linear(P, x)
         rng = random.Random(trial)
         ql = {1: gen_qlists(ldc, rng)}
-        got = recurse_linear(P, 1, cw, (), lift_functional(P, ell_bits), ql,
-                             rng, {}, {})
+        keys = [(j,) for j in sorted({int(p) for lst in ql[1].lists for p in lst})]
+        base = _decode_base_blocks(P, cw, keys, rng)
+        got = recurse_linear(P, 1, (), lift_functional(P, ell_bits), ql,
+                             rng, base, {})
         truth = functional_dot(ell_bits, x)
         if got is not None and got & 1 == truth:
             correct += 1

@@ -7,6 +7,7 @@ field primitives before this module existed):
   - RM(q=4, m=2, d=1) has nonzero weights exactly {12, 16}; minimum 12.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -82,6 +83,24 @@ def test_make_systematic_readback():
         assert np.array_equal(cw[list(code.systematic_positions)], msg)
     assert list(code.systematic_positions) == sorted(code.systematic_positions)
     code.validate()
+    # repeat-toy's Reed-Muller code: pinned pivots (the greedy lexicographic
+    # information set) and generator
+    code = make_systematic(rm_code(GF16, 3, 3))
+    assert code.systematic_positions == (0, 1, 2, 3, 16, 17, 18, 32, 33, 48, 256, 257,
+                                         258, 272, 273, 288, 512, 513, 528, 768)
+    digest = hashlib.sha256(code.gen.astype("<i4").tobytes()).hexdigest()
+    assert digest == "5974303ba9cd64dbb9ab26929075d43a82c0d90e1a7b4c0484e425ac08584510"
+    assert np.array_equal(code.gen[list(code.systematic_positions)],
+                          np.eye(20, dtype=np.int32))
+
+
+def test_make_systematic_rejects_rank_deficient():
+    gen = np.array([[1, 2], [3, 6], [2, 4], [0, 0]], dtype=np.int32)  # col 1 = 2 * col 0
+    code = LinearCode(GF16, gen)
+    with pytest.raises(ValueError):
+        make_systematic(code)
+    with pytest.raises(ValueError):
+        code.validate()
 
 
 def test_concat_matches_handwritten_pipeline():
@@ -168,6 +187,9 @@ def test_word_dist2_with_erasures():
     assert word_dist2(w, c) == 2 * 1 + 1
     assert word_dist2(c, c) == 0
     assert word_dist2(np.array([ERASE, ERASE]), np.array([0, 1])) == 2
+    # symmetric: an erasure in either word costs one half, a shared one nothing
+    assert word_dist2(c, w) == 2 * 1 + 1
+    assert word_dist2(w, w) == 0
 
 
 def test_codebook_tiny_by_hand():
@@ -175,6 +197,59 @@ def test_codebook_tiny_by_hand():
     cb = codebook(code)
     assert [list(r) for r in cb.words] == [[0, 0], [1, 2], [2, 3], [3, 1]]
     assert list(cb.msg_of_index(3)) == [3]
+
+
+def inner_4_2_2():
+    return LinearCode(GF2, np.array([[1, 0], [0, 1], [1, 1], [1, 0]], dtype=np.int32),
+                      kind="toy-4-2-2", systematic_positions=(0, 1), dist2_bound=4)
+
+
+def noisy_words(code, rng, count=3):
+    """Codewords of random messages with a quarter of the positions hit:
+    half of those get a random symbol, half an erasure."""
+    words = []
+    for _ in range(count):
+        w = code.encode(rng.integers(0, code.field.q, code.msg_len))
+        hit = rng.choice(code.code_len, size=code.code_len // 4, replace=False)
+        half = len(hit) // 2
+        w[hit[:half]] = rng.integers(0, code.field.q, half)
+        w[hit[half:]] = ERASE
+        words.append(w)
+    return words
+
+
+def _repeat_toy_advice_code():
+    from streamcode.profiles import build_params, load_profile
+    return build_params(load_profile("repeat-toy")).ldc.advice_code
+
+
+def _tensor_toy_curve_code():
+    from streamcode.profiles import build_params, load_profile
+    return build_params(load_profile("tensor-toy")).ldc.curve_code
+
+
+@pytest.mark.parametrize("make, samples", [
+    (lambda: concat(rs_code(GF4, [0, 1, 2], 2), inner_4_2_2()), None),  # criterion 3
+    (lambda: concat(rm_code(GF4, 2, 1), inner_4_2_2()), None),
+    (lambda: concat(make_systematic(rm_code(GF16, 1, 1)), doubly_extended_rs(GF4)), None),
+    (_tensor_toy_curve_code, None),
+    (_repeat_toy_advice_code, 300),
+], ids=["c03-rs-422", "rm-outer", "rs16-rs4ext", "tensor-toy-curve", "repeat-toy-advice"])
+def test_concat_block_scan_matches_word_dist2(make, samples):
+    code = make()
+    assert isinstance(code, ConcatCode)
+    cb = codebook(code)
+    assert cb.words is None          # no per-codeword table for concatenations
+    rng = np.random.default_rng(code.code_len)
+    idx = range(code.msg_space) if samples is None else \
+        rng.choice(code.msg_space, size=samples, replace=False)
+    codewords = [(int(i), code.encode(cb.msg_of_index(int(i)))) for i in idx]
+    for w in noisy_words(code, rng):
+        assert (w == ERASE).any()
+        d2 = cb.dist2_scan(w)
+        assert len(d2) == code.msg_space
+        for i, c in codewords:
+            assert int(d2[i]) == word_dist2(w, c), i
 
 
 # ---------------------------------------------------------------------------
