@@ -6,12 +6,15 @@ word; erasures cost one half each (so the budget is tracked in dist2 units:
 than the budget allows are truncated, never extended.  All strategies are
 deterministic functions of the rng handed in.
 
-Binary words are flipped; symbol words get a uniformly random different
-symbol (or an erasure, for the mixing strategy).  blockzero_attack is the
-window-correlated zeroing heuristic: it picks one random offset and zeroes
-the blocks whose sliding window lands inside the word, in order, until the
-budget runs out — a structured, bursty pattern that stresses decoders whose
-reads cluster, with no optimality claim.
+The caller declares the word's alphabet with field_k, as for stream files:
+0 means bits, k >= 1 means GF(2^k) symbols.  A strategy only picks
+positions; one batched step then charges the budget and substitutes.  Bits
+are flipped; a symbol gets a uniformly random different symbol of GF(2^k)
+(or an erasure, for the mixing strategy).  blockzero is the window-correlated
+zeroing heuristic: it picks one random offset and zeroes the blocks whose
+sliding window lands inside the word, in order, until the budget runs out —
+a structured, bursty pattern that stresses decoders whose reads cluster,
+with no optimality claim.
 """
 
 from __future__ import annotations
@@ -44,11 +47,14 @@ class ErrorBudget:
     def limit2(self) -> int:
         return 2 * self.limit
 
-    def try_charge(self, units2: int) -> bool:
-        if self.charged2 + units2 > self.limit2:
-            return False
-        self.charged2 += units2
-        return True
+    def charge(self, subs: int, erasures: int = 0) -> tuple[int, int]:
+        """Charge as many of `subs` substitutions (2 units each), then of
+        `erasures` (1 unit each), as still fit; return the two counts."""
+        left2 = self.limit2 - self.charged2
+        s = max(0, min(subs, left2 // 2))
+        e = max(0, min(erasures, left2 - 2 * s))
+        self.charged2 += 2 * s + e
+        return s, e
 
 
 @dataclass
@@ -60,89 +66,63 @@ class AttackStrategy:
     options: dict = dc_field(default_factory=dict)
 
 
-def corrupt(word, strategy: AttackStrategy, budget: ErrorBudget, rng) -> np.ndarray:
-    """A corrupted copy of the word; never exceeds the budget."""
-    word = np.asarray(word).copy()
-    binary = bool(word.max(initial=0) <= 1 and word.min(initial=0) >= 0)
-    opts = strategy.options
+def corrupt(word, strategy: AttackStrategy, budget: ErrorBudget, rng,
+            field_k: int = 0) -> np.ndarray:
+    """A corrupted copy of a word over bits (field_k == 0) or GF(2^field_k);
+    never exceeds the budget.  A value outside the alphabet raises
+    ValueError."""
+    word = np.array(word)
+    q = 1 << max(field_k, 1)
+    if word.min(initial=0) < 0 or word.max(initial=0) >= q:
+        raise ValueError(f"word value outside the alphabet of size {q}")
+    m, opts = len(word), strategy.options
+    left = budget.limit - budget.charged2 // 2  # whole changes still allowed
+    era = np.empty(0, dtype=np.intp)
     if strategy.name == "uniform":
-        k = min(budget.limit - budget.charged2 // 2, len(word))
-        for p in sorted(rng.sample(range(len(word)), k)):
-            if budget.try_charge(2):
-                _substitute(word, p, binary, rng)
+        sub = np.array(rng.sample(range(m), min(left, m)), dtype=np.intp)
+        sub.sort()
     elif strategy.name == "burst":
-        k = min(budget.limit - budget.charged2 // 2, len(word))
-        start = rng.randrange(max(1, len(word) - k + 1))
-        for p in range(start, start + k):
-            if budget.try_charge(2):
-                _substitute(word, p, binary, rng)
+        k = min(left, m)
+        start = rng.randrange(max(1, m - k + 1))
+        sub = np.arange(start, start + k)
     elif strategy.name == "copy_kill":
         copy_len = opts["copy_len"]
-        n_copies = len(word) // copy_len
         target = opts.get("target_copy")
         if target is None:
-            target = rng.randrange(n_copies)
+            target = rng.randrange(m // copy_len)
         base = target * copy_len
-        k = min(copy_len, budget.limit - budget.charged2 // 2)
-        for off in sorted(rng.sample(range(copy_len), k)):
-            if budget.try_charge(2):
-                _substitute(word, base + off, binary, rng)
+        sub = np.array(rng.sample(range(base, base + copy_len),
+                                  min(copy_len, left)), dtype=np.intp)
+        sub.sort()
     elif strategy.name == "blockzero":
-        word = blockzero_attack(word, opts["block_len"], opts["window_step"],
-                                rng, budget=budget)
+        # block i is hit while its window [j + i*step, j + (i+1)*step) fits
+        block_len, step = opts["block_len"], opts["window_step"]
+        j = rng.randrange(max(1, step))
+        n_blocks = min(m // block_len, max(0, m - j) // max(1, step))
+        sub = np.flatnonzero(word[:n_blocks * block_len])
     elif strategy.name == "erasure_mix":
-        if binary:
+        if field_k == 0:
             raise ValueError("erasure_mix needs a symbol word")
         B = budget.limit
         flips = B // 2
-        erasures = 2 * (B - flips)
-        take = min(flips + erasures, len(word))
-        positions = rng.sample(range(len(word)), take)
-        for p in positions[:flips]:
-            if budget.try_charge(2):
-                _substitute(word, p, binary, rng)
-        for p in positions[flips:]:
-            if word[p] != ERASE and budget.try_charge(1):
-                word[p] = ERASE
+        pos = np.array(rng.sample(range(m), min(flips + 2 * (B - flips), m)),
+                       dtype=np.intp)
+        sub, era = pos[:flips], pos[flips:]
     else:
         raise ValueError(f"unknown strategy {strategy.name!r}")
-    return word
 
-
-def _substitute(word, p: int, binary: bool, rng):
-    if binary:
-        word[p] ^= 1
-    else:
-        hi = int(word.max()) | 1  # stay inside the observed alphabet range
-        v = rng.randrange(hi + 1)
-        word[p] = v if v != word[p] else (v + 1) % (hi + 1)
-
-
-def blockzero_attack(word, block_len: int, window_step: int, rng,
-                     budget: ErrorBudget | None = None) -> np.ndarray:
-    """Zero out blocks selected by a sliding window at a random offset.
-
-    Block i (positions [i*block_len, (i+1)*block_len)) is zeroed when its
-    window [j + i*window_step, j + (i+1)*window_step) still lies inside the
-    word, where j is one uniform offset.  Zeroing proceeds in block order and
-    stops when the budget is spent; only positions that actually change are
-    charged.  This is a cheap structured-burst heuristic, not an optimized
-    adversary.
-    """
-    word = np.asarray(word).copy()
-    if budget is None:
-        budget = ErrorBudget(Fraction(1), len(word))
-    j = rng.randrange(max(1, window_step))
-    n_blocks = len(word) // block_len
-    for i in range(n_blocks):
-        if j + (i + 1) * window_step > len(word):
-            break
-        blk = slice(i * block_len, (i + 1) * block_len)
-        for p in range(blk.start, blk.stop):
-            if word[p] != 0:
-                if not budget.try_charge(2):
-                    return word
-                word[p] = 0
+    n_sub, n_era = budget.charge(len(sub), len(era))
+    sub = sub[:n_sub]
+    if strategy.name == "blockzero":
+        delta = word[sub]
+    elif q == 2:
+        delta = 1
+    else:  # x ^ d for uniform nonzero d is uniform over the other symbols
+        delta = np.array([rng.randrange(1, q) for _ in range(n_sub)],
+                         dtype=word.dtype)
+    word[sub] ^= delta
+    if n_era:
+        word[era[:n_era]] = ERASE
     return word
 
 

@@ -173,7 +173,8 @@ def cmd_corrupt(args) -> int:
         prof = dict(prof)
         prof["strategy"] = args.strategy
     strategy, budget = _attack(prof, params, rho, len(word))
-    bad = corrupt(word, strategy, budget, _chan_rng(args.seed, "one", "chan"))
+    bad = corrupt(word, strategy, budget, _chan_rng(args.seed, "one", "chan"),
+                  field_k)
     write_stream_file(args.outfile, bad, field_k)
     if args.mask_out:
         write_stream_file(args.mask_out,

@@ -162,10 +162,6 @@ def mul_lut(K: FieldSpec, c: int) -> np.ndarray:
     return _lut_cache(K.k, c)
 
 
-def mul_vec(K: FieldSpec, c: int, xs: np.ndarray) -> np.ndarray:
-    return _lut_cache(K.k, c)[xs]
-
-
 @lru_cache(maxsize=None)
 def _exp_log_arrays(k: int):
     """exp and log as arrays, with log[0] pointed past every sum of two
@@ -231,25 +227,6 @@ def poly_eval(K: FieldSpec, p, x: int) -> int:
     acc = 0
     for c in reversed(list(p)):
         acc = field_mul(K, acc, x) ^ c
-    return acc
-
-
-def poly_eval_many(K: FieldSpec, p, xs: np.ndarray) -> np.ndarray:
-    acc = np.zeros(len(xs), dtype=np.int32)
-    for c in reversed(list(p)):
-        # acc = acc*x + c, vectorized over evaluation points
-        nxt = np.zeros(len(xs), dtype=np.int32)
-        nz = acc != 0
-        if nz.any():
-            exp, log, _ = _tables(K.k)
-            la = np.array(log, dtype=np.int64)[acc[nz]]
-            lx = np.array(log, dtype=np.int64)[xs[nz]]
-            good = xs[nz] != 0
-            vals = np.zeros(nz.sum(), dtype=np.int32)
-            vals[good] = np.array(exp, dtype=np.int32)[(la + lx)[good]]
-            nxt[nz] = vals
-        nxt ^= c
-        acc = nxt
     return acc
 
 

@@ -412,12 +412,9 @@ def test_c05_smooth_inequality_large_alphabet():
         x = np.array([rng.randrange(LT.K.q) for _ in range(LT.r)],
                      dtype=np.int32)
         word = ldc_large_encode(LT, x)
-        while int(word.max()) <= 1:  # channel needs a clearly symbolic word
-            x = np.array([rng.randrange(LT.K.q) for _ in range(LT.r)],
-                         dtype=np.int32)
-            word = ldc_large_encode(LT, x)
         budget = ErrorBudget(Fraction(3, 10), len(word))
-        bad = corrupt(word, AttackStrategy("erasure_mix", {}), budget, rng)
+        bad = corrupt(word, AttackStrategy("erasure_mix", {}), budget, rng,
+                      LT.K.k)
         delta = Fraction(corruption_dist2(word, bad), 2 * len(word))
         i = rng.randrange(LT.r)
         plan = sample_smooth_plan_large(LT, i, rng)
@@ -733,11 +730,12 @@ def test_c14_channel_discipline(repeat_uniform, tensor_rho):
                     strategies = [("uniform", {}), ("burst", {}),
                                   ("copy_kill", {"copy_len": 250}),
                                   ("erasure_mix", {})]
+                field_k = 0 if kind == "bits" else 4
                 for name, opts in strategies:
                     budget = ErrorBudget(rho, len(word))
                     before = word.copy()
                     bad = corrupt(word, AttackStrategy(name, opts), budget,
-                                  rng)
+                                  rng, field_k)
                     assert np.array_equal(word, before)  # original untouched
                     d2 = corruption_dist2(word, bad)
                     assert d2 <= budget.limit2, (name, str(rho), d2)

@@ -1,14 +1,17 @@
-"""Channel strategies: budget truncation, determinism, charge accounting."""
+"""Channel strategies: budget truncation, determinism, charge accounting,
+the declared alphabet, and bit-exact binary outputs."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from streamcode.channel import (AttackStrategy, ErrorBudget, blockzero_attack,
-                                corrupt, corruption_dist2)
-from streamcode.gf import ERASE
+from streamcode.channel import (AttackStrategy, ErrorBudget, corrupt,
+                                corruption_dist2)
+from streamcode.gf import ERASE, MODULI
 
 
 def budget(rho, m):
@@ -23,33 +26,41 @@ class TestBudget:
 
     def test_charge_cap(self):
         b = budget("1/10", 20)  # limit 2, limit2 4
-        assert b.try_charge(2)
-        assert b.try_charge(1)
-        assert b.try_charge(1)
-        assert not b.try_charge(1)
+        assert b.charge(1, 0) == (1, 0)
+        assert b.charge(0, 1) == (0, 1)
+        assert b.charge(3, 3) == (0, 1)  # one unit left: no substitution
+        assert b.charge(1, 1) == (0, 0)
         assert b.charged2 == 4
+
+    def test_charge_substitutions_before_erasures(self):
+        b = budget("1/2", 10)  # limit2 10
+        assert b.charge(4, 5) == (4, 2)
+        assert b.charged2 == 10
+        odd = ErrorBudget(Fraction(1, 2), 10, charged2=3)  # 7 units left
+        assert odd.charge(9, 9) == (3, 1)
+        assert odd.charged2 == 10
 
 
 class TestStrategies:
     def test_uniform_exact_budget_binary(self):
         word = np.zeros(200, dtype=np.uint8)
         out = corrupt(word, AttackStrategy("uniform"), budget("1/10", 200),
-                      random.Random(1))
+                      random.Random(1), 0)
         assert int(out.sum()) == 20
         assert corruption_dist2(word, out) == 40
 
     def test_uniform_deterministic(self):
         word = np.zeros(100, dtype=np.uint8)
         a = corrupt(word, AttackStrategy("uniform"), budget("1/4", 100),
-                    random.Random(7))
+                    random.Random(7), 0)
         b = corrupt(word, AttackStrategy("uniform"), budget("1/4", 100),
-                    random.Random(7))
+                    random.Random(7), 0)
         assert np.array_equal(a, b)
 
     def test_burst_contiguous(self):
         word = np.zeros(100, dtype=np.uint8)
         out = corrupt(word, AttackStrategy("burst"), budget("1/10", 100),
-                      random.Random(3))
+                      random.Random(3), 0)
         hits = np.flatnonzero(out != word)
         assert len(hits) == 10
         assert hits[-1] - hits[0] == 9  # one contiguous run
@@ -59,7 +70,7 @@ class TestStrategies:
         word = np.zeros(200, dtype=np.uint8)
         out = corrupt(word, AttackStrategy("copy_kill",
                                            {"copy_len": 50, "target_copy": 2}),
-                      budget("1/10", 200), random.Random(5))
+                      budget("1/10", 200), random.Random(5), 0)
         hits = np.flatnonzero(out != word)
         assert len(hits) == 20
         assert all(100 <= h < 150 for h in hits)
@@ -68,7 +79,7 @@ class TestStrategies:
         word = np.ones(40, dtype=np.uint8)
         out = corrupt(word, AttackStrategy("copy_kill",
                                            {"copy_len": 10, "target_copy": 0}),
-                      budget("1/2", 40), random.Random(5))
+                      budget("1/2", 40), random.Random(5), 0)
         assert np.array_equal(out[:10], np.zeros(10, dtype=np.uint8))
         assert np.array_equal(out[10:], word[10:])
 
@@ -77,7 +88,7 @@ class TestStrategies:
         b = budget("1/6", 60)  # limit 10
         out = corrupt(word, AttackStrategy("blockzero",
                                            {"block_len": 4, "window_step": 4}),
-                      b, random.Random(2))
+                      b, random.Random(2), 0)
         assert int((out != word).sum()) == 10
         assert b.charged2 == 20
 
@@ -86,14 +97,14 @@ class TestStrategies:
         b = budget("1/6", 60)
         out = corrupt(word, AttackStrategy("blockzero",
                                            {"block_len": 4, "window_step": 4}),
-                      b, random.Random(2))
+                      b, random.Random(2), 0)
         assert np.array_equal(out, word)
         assert b.charged2 == 0
 
     def test_erasure_mix_split_and_charge(self):
         word = np.full(100, 5, dtype=np.int16)
         b = budget("1/5", 100)  # limit 20: 10 flips + 20 erasures
-        out = corrupt(word, AttackStrategy("erasure_mix"), b, random.Random(9))
+        out = corrupt(word, AttackStrategy("erasure_mix"), b, random.Random(9), 4)
         era = int((out == ERASE).sum())
         flips = int(((out != word) & (out != ERASE)).sum())
         assert era == 20 and flips == 10
@@ -103,28 +114,29 @@ class TestStrategies:
     def test_erasure_mix_rejects_binary(self):
         with pytest.raises(ValueError):
             corrupt(np.zeros(8, dtype=np.uint8), AttackStrategy("erasure_mix"),
-                    budget("1/2", 8), random.Random(0))
+                    budget("1/2", 8), random.Random(0), 0)
 
     def test_symbol_substitution_stays_in_alphabet(self):
         word = np.arange(16, dtype=np.int16) % 7
         out = corrupt(word, AttackStrategy("uniform"), budget("1/2", 16),
-                      random.Random(11))
+                      random.Random(11), 3)
         changed = out != word
         assert changed.sum() == 8
-        assert out.min() >= 0
+        assert out.min() >= 0 and out.max() < 8
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             corrupt(np.zeros(4, dtype=np.uint8), AttackStrategy("nope"),
-                    budget("1/2", 4), random.Random(0))
+                    budget("1/2", 4), random.Random(0), 0)
 
 
 class TestBlockzeroAttack:
     def test_window_stops_at_word_end(self):
         # step larger than block: later blocks' windows fall off the end.
         word = np.ones(40, dtype=np.uint8)
-        out = blockzero_attack(word, block_len=4, window_step=16,
-                               rng=random.Random(0))
+        out = corrupt(word, AttackStrategy("blockzero",
+                                           {"block_len": 4, "window_step": 16}),
+                      budget("1", 40), random.Random(0), 0)
         # at most floor((40 - j)/16) <= 2 blocks zeroed
         assert 4 <= int((out != word).sum()) <= 8
 
@@ -132,5 +144,102 @@ class TestBlockzeroAttack:
         word = np.ones(64, dtype=np.uint8)
         for seed in range(20):
             b = budget("5/100", 64)  # limit 3
-            out = blockzero_attack(word, 8, 8, random.Random(seed), budget=b)
-            assert corruption_dist2(word, out) <= b.limit2
+            out = corrupt(word, AttackStrategy("blockzero",
+                                               {"block_len": 8, "window_step": 8}),
+                          b, random.Random(seed), 0)
+            assert corruption_dist2(word, out) == b.charged2 == b.limit2
+
+    def test_zeroes_symbols(self):
+        word = np.full(32, 9, dtype=np.int32)
+        out = corrupt(word, AttackStrategy("blockzero",
+                                           {"block_len": 8, "window_step": 8}),
+                      budget("1/4", 32), random.Random(1), 4)
+        assert set(out.tolist()) == {0, 9}
+        assert int((out == 0).sum()) == 8
+
+
+class TestDeclaredAlphabet:
+    def test_bit_valued_symbol_word_gets_field_substitutions(self):
+        # a GF(16) word that happens to hold only 0/1 is still a GF(16) word
+        word = np.arange(2000, dtype=np.int32) % 2
+        out = corrupt(word, AttackStrategy("uniform"), budget("1/2", 2000),
+                      random.Random(4), 4)
+        changed = out != word
+        assert int(changed.sum()) == 1000
+        assert int(out.max()) >= 2
+        assert set(out[changed & (word == 0)].tolist()) == set(range(1, 16))
+        assert set(out[changed & (word == 1)].tolist()) == {0} | set(range(2, 16))
+
+    @pytest.mark.parametrize("field_k,bad", [(0, 2), (0, -1), (4, 16),
+                                             (4, ERASE), (1, 2)])
+    def test_value_outside_alphabet_raises(self, field_k, bad):
+        word = np.zeros(10, dtype=np.int32)
+        word[7] = bad
+        with pytest.raises(ValueError):
+            corrupt(word, AttackStrategy("uniform"), budget("1/2", 10),
+                    random.Random(0), field_k)
+
+
+# SHA-256 of corrupt's output (as little-endian int32), the final charged2 and
+# the next 32 rng bits, measured on the code before the channel was batched.
+# The calls keep the four-argument form, which means bits.
+PIN_WORD = np.random.default_rng(2024).integers(0, 2, size=10_000).astype(np.int32)
+PINS = [
+    ("uniform", {}, 0, "fd4a47b306bd62cb63d89f2611075b1a7ab5d26f27f358881af5c780258d82aa", 1000, 4279945023),
+    ("burst", {}, 0, "2f03d7e6e1525eb66c4721a0f5e7c59bd7b1c9388bfcd4c3bafd57ead3dbff5a", 1000, 1357375482),
+    ("copy_kill", {"copy_len": 1000}, 0, "4b2d0156fd50aabef63a5e0af263c244e999f8b4fd10f88848db50b7a5d709f3", 1000, 899877915),
+    ("blockzero", {"block_len": 64, "window_step": 50}, 0, "2601f7c6862792109d3e783ef4cc000986b44dfaac945f9a45632838dc2c9422", 1000, 4009036803),
+    ("uniform", {}, 7, "cd633734965ee03fe2c45a22106d7249d69bf149a43c8079a6f92ff2eefc0ddd", 999, 3112000482),
+    ("blockzero", {"block_len": 64, "window_step": 50}, 5, "6d37a27a5c2d2d7c1afe8500b438af2350267bc57279781a29a92367116f5149", 999, 3172318593),
+]
+
+
+@pytest.mark.parametrize("name,opts,pre,digest,charged2,next_bits", PINS)
+def test_binary_outputs_bit_exact(name, opts, pre, digest, charged2, next_bits):
+    b = ErrorBudget(Fraction(1, 20), len(PIN_WORD), charged2=pre)
+    rng = random.Random(f"pin:{name}:{pre}")
+    out = corrupt(PIN_WORD, AttackStrategy(name, dict(opts)), b, rng)
+    got = hashlib.sha256(np.ascontiguousarray(out, dtype="<i4").tobytes())
+    assert got.hexdigest() == digest
+    assert b.charged2 == charged2
+    assert rng.getrandbits(32) == next_bits
+
+
+STRATEGY_NAMES = ["uniform", "burst", "copy_kill", "blockzero", "erasure_mix"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_k=st.sampled_from([0] + sorted(MODULI)),
+       name=st.sampled_from(STRATEGY_NAMES),
+       m=st.integers(1, 300),
+       rho=st.fractions(0, 1, max_denominator=40),
+       pre_share=st.fractions(0, 1, max_denominator=7),
+       seed=st.integers(0, 2**32 - 1),
+       copy_len=st.integers(1, 300),
+       block_len=st.integers(1, 40),
+       window_step=st.integers(0, 60),
+       dtype=st.sampled_from([np.int16, np.int32, np.int64]))
+def test_corrupt_contract(field_k, name, m, rho, pre_share, seed, copy_len,
+                          block_len, window_step, dtype):
+    if name == "erasure_mix" and field_k == 0:
+        return  # rejected; see test_erasure_mix_rejects_binary
+    q = 1 << max(field_k, 1)
+    word = np.random.default_rng(seed).integers(0, q, size=m).astype(dtype)
+    before = word.copy()
+    b = ErrorBudget(rho, m)
+    pre = int(pre_share * b.limit2)
+    b.charged2 = pre
+    opts = {"copy_kill": {"copy_len": min(copy_len, m)},
+            "blockzero": {"block_len": block_len, "window_step": window_step}
+            }.get(name, {})
+    out = corrupt(word, AttackStrategy(name, opts), b, random.Random(seed),
+                  field_k)
+    assert np.array_equal(word, before) and out.dtype == word.dtype
+    erased = out == ERASE
+    assert ((out >= 0) & (out < q) | erased).all()
+    if name != "erasure_mix":
+        assert not erased.any()
+    subs = int(((out != word) & ~erased).sum())
+    assert subs + int(erased.sum()) / 2 <= b.limit  # an erasure counts half
+    assert corruption_dist2(word, out) == b.charged2 - pre
+    assert b.charged2 <= b.limit2

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from streamcode.gf import GF, word_to_hex
+from streamcode.gf import ERASE, GF, word_to_hex
 from streamcode.cli import main, run_experiment, verify_code_tables
 from streamcode.codec_repeat import RepeatParams
 from streamcode.codec_tensor import TensorParams, functional_dot
@@ -174,6 +174,24 @@ def test_cli_corrupt_rho_override(tmp_path):
                  "--out", str(tmp_path / "bad.bin")]) == 0
     bad, _ = read_stream_file(tmp_path / "bad.bin")
     assert int(bad.sum()) == 100        # exactly floor(1000/10) flips
+
+
+def test_cli_corrupt_symbol_file_uses_its_field(tmp_path, capsys):
+    # a GF(16) stream file that holds only 0/1 is attacked over GF(16)
+    word = np.arange(1000, dtype=np.int32) % 2
+    write_stream_file(tmp_path / "w.bin", word, 4)
+    assert main(["corrupt", "--profile", "tensor-small", "--seed", "3",
+                 "--rho", "1/5", "--strategy", "erasure_mix",
+                 "--in", str(tmp_path / "w.bin"),
+                 "--out", str(tmp_path / "bad.bin")]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    bad, field_k = read_stream_file(tmp_path / "bad.bin")
+    assert field_k == 4
+    erased = bad == ERASE
+    assert erased.any()
+    assert ((bad >= 0) & (bad < 16) | erased).all()
+    assert int(bad.max()) >= 2
+    assert rep["dist2"] <= 2 * rep["limit"]
 
 
 def test_cli_show_profile(capsys):

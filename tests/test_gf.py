@@ -13,8 +13,8 @@ from hypothesis import given, strategies as st
 
 from streamcode.gf import (
     ERASE, GF, MODULI, elem_from_hex, elem_to_hex, embed, field_add,
-    field_generator, field_inv, field_mul, field_pow, gf_matvec, mul_vec,
-    pack_symbols, poly_add, poly_divmod, poly_eval, poly_eval_many,
+    field_generator, field_inv, field_mul, field_pow, gf_matvec,
+    pack_symbols, poly_add, poly_divmod, poly_eval,
     poly_interpolate, poly_mul, unpack_symbol, word_from_hex, word_to_hex,
 )
 
@@ -130,15 +130,6 @@ def test_poly_mul_divmod():
         assert poly_add(K, quot, a) == [] and rem == []
 
 
-def test_poly_eval_many_matches_scalar():
-    K = GF(6)
-    rng = random.Random(11)
-    p = [rng.randrange(64) for _ in range(5)]
-    xs = np.arange(64, dtype=np.int32)
-    got = poly_eval_many(K, p, xs)
-    assert [int(v) for v in got] == [poly_eval(K, p, int(x)) for x in xs]
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -221,9 +212,3 @@ def test_gf_matvec_matches_scalar_path():
             acc ^= field_mul(K, int(gen[i, j]), s)
         assert int(out[i]) == acc
 
-
-def test_mul_vec_matches_scalar():
-    K = GF(3)
-    xs = np.arange(8, dtype=np.int32)
-    got = mul_vec(K, 5, xs)
-    assert [int(v) for v in got] == [field_mul(K, 5, int(x)) for x in xs]

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from streamcode.gf import ERASE, GF, field_mul, mul_vec
+from streamcode.gf import ERASE, GF, field_mul, mul_lut
 from streamcode.codes import repetition_code, doubly_extended_rs
 from streamcode.ldc_large import (
     ConfidenceDist, LargeLdcParams, QueryLists, ResampleExhausted,
@@ -51,7 +51,7 @@ def test_encode_systematic_and_linear():
     # K-linearity under scalar multiplication as well
     c = 7
     ca = np.array([field_mul(GF16, c, int(v)) for v in a], dtype=np.int32)
-    assert np.array_equal(ldc_large_encode(p, ca), mul_vec(GF16, c, ldc_large_encode(p, a)))
+    assert np.array_equal(ldc_large_encode(p, ca), mul_lut(GF16, c)[ldc_large_encode(p, a)])
 
 
 def test_smooth_uncorrupted_certainty():

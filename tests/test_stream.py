@@ -1,11 +1,14 @@
 """Stream primitives: read-once discipline, in-order tape, ledger, files."""
 
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from streamcode.gf import ERASE
+from streamcode.gf import ERASE, MODULI
 from streamcode.stream import (
     MemoryLedger, OutOfOrderWrite, OutputTape, StreamExhausted, SymbolStream,
     read_stream_file, serialize_state, state_size_bits, write_stream_file,
@@ -149,3 +152,19 @@ def test_stream_file_truncated_bits(tmp_path):
     path.write_bytes(path.read_bytes()[:10 + 8])  # header + 64 of 100 bits
     with pytest.raises(ValueError):
         read_stream_file(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_k=st.sampled_from([0] + sorted(MODULI)), data=st.data())
+def test_stream_file_roundtrip_property(field_k, data):
+    # bits, or symbols of GF(2^k) with erasures mixed in
+    lo = 0 if field_k == 0 else ERASE
+    hi = 1 if field_k == 0 else (1 << field_k) - 1
+    word = np.array(data.draw(st.lists(st.integers(lo, hi), max_size=300)),
+                    dtype=np.int32)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.scs"
+        write_stream_file(path, word, field_k)
+        got, k = read_stream_file(path)
+    assert k == field_k
+    assert np.array_equal(got, word)
