@@ -69,12 +69,15 @@ class AttackStrategy:
 def corrupt(word, strategy: AttackStrategy, budget: ErrorBudget, rng,
             field_k: int = 0) -> np.ndarray:
     """A corrupted copy of a word over bits (field_k == 0) or GF(2^field_k);
-    never exceeds the budget.  A value outside the alphabet raises
-    ValueError."""
+    never exceeds the budget.  A value outside the alphabet, a dtype that
+    cannot hold every symbol, or erasure_mix on an unsigned dtype (which
+    cannot hold ERASE) raises ValueError before any rng draw."""
     word = np.array(word)
     q = 1 << max(field_k, 1)
     if word.min(initial=0) < 0 or word.max(initial=0) >= q:
         raise ValueError(f"word value outside the alphabet of size {q}")
+    if np.iinfo(word.dtype).max < q - 1:
+        raise ValueError(f"dtype {word.dtype} cannot hold every symbol of an alphabet of size {q}")
     m, opts = len(word), strategy.options
     left = budget.limit - budget.charged2 // 2  # whole changes still allowed
     era = np.empty(0, dtype=np.intp)
@@ -103,6 +106,8 @@ def corrupt(word, strategy: AttackStrategy, budget: ErrorBudget, rng,
     elif strategy.name == "erasure_mix":
         if field_k == 0:
             raise ValueError("erasure_mix needs a symbol word")
+        if word.dtype.kind == "u":
+            raise ValueError(f"erasure_mix needs a signed dtype to hold ERASE, not {word.dtype}")
         B = budget.limit
         flips = B // 2
         pos = np.array(rng.sample(range(m), min(flips + 2 * (B - flips), m)),

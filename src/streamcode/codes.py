@@ -20,10 +20,15 @@ Decoding entry points:
   a cached codebook.  These double as test oracles for everything else, so
   they stay deliberately simple.
 - unique_decode: within-half-distance decoding.  Concatenated codes with a
-  Reed-Solomon outer layer go through generalized-minimum-distance decoding
-  (per-block inner decode, then an erasure sweep ordered by block confidence,
-  each step finished by a Berlekamp-Welch errors-and-erasures solve); anything
-  else small enough falls back to the brute-force scan.
+  Reed-Solomon outer layer go through generalized-minimum-distance (GMD)
+  decoding: every block is decoded to its nearest inner codeword, and the
+  outer word of their symbols is checked against the outer parity-check
+  matrix.  A zero syndrome settles the decode at once: the message reads off
+  the outer word and its dist2 is the sum of the blocks' own distances.
+  Only a nonzero syndrome runs the erasure sweep, ordered by block
+  confidence, each step a Berlekamp-Welch errors-and-erasures solve whose
+  candidate is measured through the same block table.  Anything else small
+  enough falls back to the brute-force scan.
 - list_decode_concat: all codewords within a radius, by one codebook scan
   (block table plus gather for concatenated codes; the codebook is capped at
   2^20 messages by design).
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -117,6 +123,15 @@ class ConcatCode(LinearCode):
     @property
     def num_blocks(self) -> int:
         return self.outer.code_len
+
+    @cached_property
+    def inner_words(self) -> np.ndarray:
+        """(|F|, block_len) table: row s is the block that F-symbol s becomes."""
+        return symbol_words(self.inner, self.outer.field)
+
+    @cached_property
+    def gmd(self) -> "GmdTables":
+        return GmdTables(self)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +389,7 @@ class Codebook:
         idx = np.arange(code.msg_space, dtype=np.int64)
         if isinstance(code, ConcatCode):
             outer, F = code.outer, code.outer.field
-            self.inner_words = symbol_words(code.inner, F)   # (|F|, block_len)
+            self.inner_words = code.inner_words   # (|F|, block_len)
             # lex index over K-digits -> lex index over the packed F-symbols
             pack = pack_table(code.field, F)
             outer_idx = np.zeros_like(idx)
@@ -455,59 +470,97 @@ def unique_decode(code: LinearCode, w, radius2: int | None = None):
     raise ValueError("no decoding route: message space too large and no GMD structure")
 
 
+class GmdTables:
+    """What GMD needs of one Reed-Solomon-outer concatenation, built once.
+
+    Inner codewords are kept in inner message (lex) order, so argmin ties
+    break to the smallest inner message; sym_of_index packs that index into
+    its F-symbol and index_of_sym inverts it.  H is a parity-check matrix of
+    the outer code (the null space of gen.T); an outer word is a codeword iff
+    H @ word == 0.  The outer message reads back from the word's symbols at
+    the pivots of gen.T through `rec`, the inverse of the generator's rows
+    there; that holds for every full-rank outer generator, systematic or not.
+    vander evaluates a polynomial of degree < k at every outer evaluation
+    point: it is the outer generator itself for a plain RS code, and is built
+    apart only for a systematized one."""
+
+    def __init__(self, cc: ConcatCode):
+        F, K, outer = cc.outer.field, cc.inner.field, cc.outer
+        n, k = outer.code_len, outer.msg_len
+        self.F = F
+        self.inner_table = codebook(cc.inner).words
+        self.sym_of_index = pack_table(K, F)
+        self.index_of_sym = np.argsort(self.sym_of_index)
+        self.unpack = np.array([unpack_symbol(K, F, s) for s in range(F.q)],
+                               dtype=np.int32).reshape(F.q, -1)
+        R, pivots = _rref(F, outer.gen.T)
+        free = [c for c in range(n) if c not in pivots]
+        self.H = np.zeros((len(free), n), dtype=np.int32)
+        self.H[np.arange(len(free)), free] = 1
+        self.H[:, pivots] = R[:, free].T
+        self.pivots = pivots
+        self.rec = _rref(F, np.hstack([outer.gen[pivots], np.eye(k, dtype=np.int32)]))[0][:, k:]
+        self.vander = (outer.gen if outer.systematic_positions is None
+                       else rs_code(F, outer.eval_points, k).gen)
+
+    def syndrome(self, word: np.ndarray) -> np.ndarray:
+        return np.bitwise_xor.reduce(mul_arrays(self.F, self.H, word[None, :]), axis=1)
+
+    def message(self, word: np.ndarray) -> np.ndarray:
+        """The concatenated message whose outer codeword is `word`."""
+        return self.unpack[gf_matvec(self.F, self.rec, word[self.pivots])].ravel()
+
+
+def _gmd_inner(cc: ConcatCode, w):
+    """(d2, syms, best_d2): the (block, inner message) dist2 table of w, the
+    F-symbol of each block's nearest inner codeword and its dist2."""
+    g = cc.gmd
+    d2 = block_dist2(np.asarray(w, dtype=np.int32).reshape(cc.num_blocks, cc.block_len),
+                     g.inner_table)
+    best = np.argmin(d2, axis=1)
+    return d2, g.sym_of_index[best], d2[np.arange(cc.num_blocks), best]
+
+
 def _gmd_decode(cc: ConcatCode, w, radius2: int):
     """Generalized minimum distance decoding for RS-outer concatenations.
 
-    Inner-decode every block to the nearest inner codeword, then sweep erasure
-    counts 0..d_out-1 erasing the least confident blocks first; each sweep step
-    runs a Berlekamp-Welch errors-and-erasures solve.  Guaranteed to find the
-    codeword whenever dist2(w, c) < half the designed composite distance; we
+    Decode every block to its nearest inner codeword and take the outer word
+    of their F-symbols.  If its syndrome is zero, it is the only outer
+    codeword any sweep step could find, and the concatenated codeword it
+    names is at dist2 best_d2.sum() (every block already sits on its nearest
+    inner word): return its message when that is inside radius2, else None.
+    Otherwise run the erasure sweep (_gmd_sweep).  GMD finds the codeword
+    whenever dist2(w, c) is below half the designed composite distance; we
     return the first candidate inside radius2 (unique there by assumption).
     """
-    F, K = cc.outer.field, cc.inner.field
-    w = np.asarray(w, dtype=np.int32)
-    n_blocks, blen = cc.num_blocks, cc.block_len
-    icb = codebook(cc.inner)
-    d2 = block_dist2(w.reshape(n_blocks, blen), icb.words)
-    best = np.argmin(d2, axis=1)
-    best_d2 = d2[np.arange(n_blocks), best]
-    syms = np.array([pack_symbols(K, F, icb.msg_of_index(int(b))) for b in best], dtype=np.int32)
+    d2, syms, best_d2 = _gmd_inner(cc, w)
+    if not cc.gmd.syndrome(syms).any():
+        return cc.gmd.message(syms) if int(best_d2.sum(dtype=np.int64)) <= radius2 else None
+    return _gmd_sweep(cc, d2, syms, best_d2, radius2)
 
-    xs_all = list(cc.outer.eval_points)
-    k_rs = cc.outer.msg_len
-    d_out = n_blocks - k_rs + 1
+
+def _gmd_sweep(cc: ConcatCode, d2, syms, best_d2, radius2: int):
+    """The GMD erasure sweep over _gmd_inner's output: for erasure counts
+    0..d_out-1, erase the least confident blocks, run a Berlekamp-Welch
+    errors-and-erasures solve on the rest, and read each new candidate's
+    dist2 off the block table.  The first candidate inside radius2 wins."""
+    F, g = cc.outer.field, cc.gmd
+    n_blocks, k_rs = cc.num_blocks, cc.outer.msg_len
+    xs_all = cc.outer.eval_points
+    blocks = np.arange(n_blocks)
     order = np.argsort(-best_d2, kind="stable")  # least confident first
     seen = set()
-    for n_erase in range(0, d_out):
-        erased = set(int(order[i]) for i in range(n_erase))
-        xs = [xs_all[p] for p in range(n_blocks) if p not in erased]
-        ys = [int(syms[p]) for p in range(n_blocks) if p not in erased]
-        h = _bw_decode(F, xs, ys, k_rs)
+    for n_erase in range(0, n_blocks - k_rs + 1):
+        erased = set(order[:n_erase].tolist())
+        kept = [p for p in range(n_blocks) if p not in erased]
+        h = _bw_decode(F, [xs_all[p] for p in kept], [int(syms[p]) for p in kept], k_rs)
         if h is None or tuple(h) in seen:
             continue
         seen.add(tuple(h))
-        cand_msg = _outer_poly_to_msg(cc, h)
-        cand = cc.encode(cand_msg)
-        if word_dist2(w, cand) <= radius2:
-            return cand_msg
+        word = gf_matvec(F, g.vander, h + [0] * (k_rs - len(h)))
+        if int(d2[blocks, g.index_of_sym[word]].sum(dtype=np.int64)) <= radius2:
+            return g.message(word)
     return None
-
-
-def _outer_poly_to_msg(cc: ConcatCode, h) -> np.ndarray:
-    """Turn the decoded outer polynomial into a concat message.  For a
-    systematic outer code the message is the codeword restricted to the pivot
-    positions; for a plain RS generator it is the coefficient vector."""
-    K, F = cc.inner.field, cc.outer.field
-    e = cc.inner.msg_len
-    if cc.outer.systematic_positions is not None:
-        pts = cc.outer.eval_points
-        syms = [poly_eval(F, h, pts[p]) for p in cc.outer.systematic_positions]
-    else:
-        syms = list(h) + [0] * (cc.outer.msg_len - len(h))
-    out = np.zeros(cc.outer.msg_len * e, dtype=np.int32)
-    for i, c in enumerate(syms):
-        out[i * e:(i + 1) * e] = unpack_symbol(K, F, int(c))
-    return out
 
 
 def _bw_decode(F: FieldSpec, xs, ys, k_rs: int):

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .codes import concat, make_systematic, pack_table, rm_code, rs_code, symbol_words
+from .codes import concat, make_systematic, pack_table, rm_code, rs_code
 from .gf import GF, field_pow, mul_lut
 
 
@@ -51,7 +51,7 @@ class RmLdc:
         # F-symbol of the K-digit group with lex index v (digit 0 most significant)
         self.pack_tbl = pack_table(self.K, self.F)
         self._digit_weights = self.K.q ** np.arange(self.e - 1, -1, -1, dtype=np.int64)
-        self.inner_words = symbol_words(self.inner, self.F)   # (q_F, L)
+        self.inner_words = self.curve_code.inner_words   # (q_F, L)
 
     # -- derived sizes ------------------------------------------------------
 

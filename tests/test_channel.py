@@ -116,6 +116,22 @@ class TestStrategies:
             corrupt(np.zeros(8, dtype=np.uint8), AttackStrategy("erasure_mix"),
                     budget("1/2", 8), random.Random(0), 0)
 
+    def test_erasure_mix_rejects_unsigned(self):
+        # ERASE = -1 has no unsigned representation; rejected before any draw
+        word = np.full(50, 3, dtype=np.uint8)
+        b, rng = budget("1/5", 50), random.Random(4)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="signed"):
+            corrupt(word, AttackStrategy("erasure_mix"), b, rng, 4)
+        assert rng.getstate() == state and b.charged2 == 0
+        out = corrupt(word.astype(np.int16), AttackStrategy("erasure_mix"), b, rng, 4)
+        assert (out == ERASE).sum() == 10
+
+    def test_dtype_too_narrow_for_alphabet(self):
+        with pytest.raises(ValueError, match="cannot hold"):
+            corrupt(np.zeros(8, dtype=np.uint8), AttackStrategy("uniform"),
+                    budget("1/2", 8), random.Random(0), 10)
+
     def test_symbol_substitution_stays_in_alphabet(self):
         word = np.arange(16, dtype=np.int16) % 7
         out = corrupt(word, AttackStrategy("uniform"), budget("1/2", 16),
@@ -218,7 +234,8 @@ STRATEGY_NAMES = ["uniform", "burst", "copy_kill", "blockzero", "erasure_mix"]
        copy_len=st.integers(1, 300),
        block_len=st.integers(1, 40),
        window_step=st.integers(0, 60),
-       dtype=st.sampled_from([np.int16, np.int32, np.int64]))
+       dtype=st.sampled_from([np.int16, np.int32, np.int64,
+                              np.uint8, np.uint16, np.uint32]))
 def test_corrupt_contract(field_k, name, m, rho, pre_share, seed, copy_len,
                           block_len, window_step, dtype):
     if name == "erasure_mix" and field_k == 0:
@@ -232,8 +249,14 @@ def test_corrupt_contract(field_k, name, m, rho, pre_share, seed, copy_len,
     opts = {"copy_kill": {"copy_len": min(copy_len, m)},
             "blockzero": {"block_len": block_len, "window_step": window_step}
             }.get(name, {})
-    out = corrupt(word, AttackStrategy(name, opts), b, random.Random(seed),
-                  field_k)
+    strategy, rng = AttackStrategy(name, opts), random.Random(seed)
+    unsigned = np.dtype(dtype).kind == "u"
+    if np.iinfo(dtype).max < q - 1 or (name == "erasure_mix" and unsigned):
+        with pytest.raises(ValueError):  # the dtype cannot hold the outputs
+            corrupt(word, strategy, b, rng, field_k)
+        assert b.charged2 == pre
+        return
+    out = corrupt(word, strategy, b, rng, field_k)
     assert np.array_equal(word, before) and out.dtype == word.dtype
     erased = out == ERASE
     assert ((out >= 0) & (out < q) | erased).all()

@@ -17,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from streamcode.gf import ERASE, GF, field_mul, poly_eval
 from streamcode.codes import (
-    ConcatCode, LinearCode, _bw_decode, codebook, concat, doubly_extended_rs,
-    ecc_eps, extended_hamming_code, list_decode_concat, make_systematic,
+    ConcatCode, LinearCode, _bw_decode, _gmd_inner, _gmd_sweep, codebook, concat,
+    doubly_extended_rs, ecc_eps, extended_hamming_code, list_decode_concat, make_systematic,
     min_distance_bruteforce, nearest_codeword_bruteforce, repetition_code,
     replicate, rm_code, rs_code, simplex_code, unique_decode, word_dist2,
 )
@@ -228,6 +228,22 @@ def _tensor_toy_curve_code():
     return build_params(load_profile("tensor-toy")).ldc.curve_code
 
 
+def _repeat_toy_curve_code():
+    from streamcode.profiles import build_params, load_profile
+    return build_params(load_profile("repeat-toy")).ldc.curve_code
+
+
+def _ecc_eps_code():
+    # systematic RS[16,2] over GF(16) outer, random binary [32,4] inner
+    return ecc_eps(GF(1), Fraction(1, 4), 8)
+
+
+def _ecc_eps_gf16_code():
+    # systematic RS[16,2] over GF(256) outer, RS[6,2] over GF(16) inner; unlike
+    # GF(2) -> GF(16), its packing map is not an involution on lex indices
+    return ecc_eps(GF16, Fraction(1, 4), 4)
+
+
 @pytest.mark.parametrize("make, samples", [
     (lambda: concat(rs_code(GF4, [0, 1, 2], 2), inner_4_2_2()), None),  # criterion 3
     (lambda: concat(rm_code(GF4, 2, 1), inner_4_2_2()), None),
@@ -305,6 +321,61 @@ def test_gmd_with_erasures():
     w[7] ^= 1  # dist2 = 2*1 + 2 = 4 <= radius2 5
     got = unique_decode(cc, w)
     assert got is not None and np.array_equal(got, msg)
+
+
+def _gmd_cases(code, rng, flips_beyond, radius2):
+    """(word, message, kind) for the three GMD paths, kind in {"near",
+    "nonzero", "beyond"}."""
+    n, L = code.num_blocks, code.block_len
+    cases = []
+    for _ in range(12):
+        msg = rng.integers(0, code.field.q, code.msg_len).astype(np.int32)
+        cw = code.encode(msg)
+        # in-radius noise plus erasures
+        w = cw.copy()
+        hit = rng.choice(code.code_len, size=radius2 // 6, replace=False)
+        w[hit[::2]] ^= 1   # changes the symbol over any field
+        w[hit[1::2]] = ERASE
+        cases.append((w, msg, "near"))
+        # nonzero syndrome: 1-3 blocks swapped for other inner codewords
+        w = cw.copy()
+        for p in rng.choice(n, size=rng.integers(1, 4), replace=False):
+            others = code.inner_words[(code.inner_words != w[p * L:(p + 1) * L]).any(axis=1)]
+            w[p * L:(p + 1) * L] = others[rng.integers(len(others))]
+        cases.append((w, msg, "nonzero"))
+        # zero syndrome beyond the radius: every block keeps its inner codeword
+        w = cw.copy()
+        for p in range(n):
+            w[p * L + rng.choice(L, size=flips_beyond, replace=False)] ^= 1
+        cases.append((w, msg, "beyond"))
+    return cases
+
+
+@pytest.mark.parametrize("make, flips, radius2", [
+    (_repeat_toy_curve_code, 8, 215),   # the default radius; 15 x 8 flips: dist2 240
+    (_ecc_eps_code, 6, 100),            # 16 x 6 flips: dist2 192
+    (_ecc_eps_gf16_code, 2, 40),        # 16 x 2 flips: dist2 64
+], ids=["repeat-toy-curve", "ecc-eps", "ecc-eps-gf16"])
+def test_gmd_syndrome_first_matches_sweep(make, flips, radius2):
+    """unique_decode equals the erasure sweep run on its own, and both find
+    the sent message whenever it is within radius2 (below half the designed
+    distance, where GMD is guaranteed to)."""
+    code = make()
+    assert radius2 <= (code.dist2_bound - 1) // 2
+    rng = np.random.default_rng(code.code_len + flips)
+    for w, msg, kind in _gmd_cases(code, rng, flips, radius2):
+        d2, syms, best_d2 = _gmd_inner(code, w)
+        assert code.gmd.syndrome(syms).any() == (kind == "nonzero")
+        got = unique_decode(code, w, radius2)
+        swept = _gmd_sweep(code, d2, syms, best_d2, radius2)
+        if kind == "beyond":
+            assert int(best_d2.sum()) == 2 * flips * code.num_blocks > radius2
+            assert got is None and swept is None
+        elif word_dist2(w, code.encode(msg)) <= radius2:
+            assert np.array_equal(got, msg) and np.array_equal(swept, msg)
+        else:
+            assert kind == "nonzero" and (got is None) == (swept is None)
+            assert got is None or np.array_equal(got, swept)
 
 
 def test_berlekamp_welch_random_errors():
