@@ -102,7 +102,10 @@ def cmd_repeat_decode(args) -> int:
     params = build_params(prof)
     if args.budget_bits is not None:
         params.budget_bits = args.budget_bits
-    word, _ = read_stream_file(args.infile)
+    word, field_k = read_stream_file(args.infile)
+    if field_k != 0:
+        print("codeword file must be a bit stream", file=sys.stderr)
+        return 2
     ledger = MemoryLedger(params.budget_bits)
     invariant_fired = False
     try:
@@ -144,7 +147,10 @@ def cmd_linear_decode(args) -> int:
     params = build_params(prof)
     with open(args.functional) as fh:
         ell = word_from_hex(GF(1), fh.read().strip())
-    word, _ = read_stream_file(args.infile)
+    word, field_k = read_stream_file(args.infile)
+    if field_k != 0:
+        print("codeword file must be a bit stream", file=sys.stderr)
+        return 2
     invariant_fired = False
     try:
         bit, diag = linear_dec_traced(params, SymbolStream(word), ell,

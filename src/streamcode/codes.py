@@ -31,10 +31,12 @@ Decoding entry points:
   enough falls back to the brute-force scan.
 - list_decode_concat: all codewords within a radius, by one codebook scan
   (block table plus gather for concatenated codes; the codebook is capped at
-  2^20 messages by design).
+  2^20 messages by design).  The scan covers every message, or only the
+  message indices the caller passes, as the advice decoder does with the
+  coset its advice pins; both go through the same gather and threshold.
 
-Linear algebra over the field (make_systematic, gf_solve, validate) is one
-Gauss-Jordan elimination, _rref.
+Linear algebra over the field (make_systematic, gf_solve, validate, and
+ldc_binary's advice coset) is one Gauss-Jordan elimination, _rref.
 """
 
 from __future__ import annotations
@@ -392,6 +394,7 @@ class Codebook:
             self.inner_words = code.inner_words   # (|F|, block_len)
             # lex index over K-digits -> lex index over the packed F-symbols
             pack = pack_table(code.field, F)
+            self._unpack = np.argsort(pack)   # F-symbol -> lex value of its K-digits
             outer_idx = np.zeros_like(idx)
             for t in range(outer.msg_len):
                 outer_idx = outer_idx * F.q + pack[(idx // F.q ** (outer.msg_len - 1 - t)) % F.q]
@@ -410,14 +413,26 @@ class Codebook:
         K, m = self.code.field, self.code.msg_len
         return np.array([(i // K.q ** (m - 1 - j)) % K.q for j in range(m)], dtype=np.int32)
 
-    def dist2_scan(self, w) -> np.ndarray:
-        """dist2 from w to every codeword (erasures allowed, charged 1 each)."""
+    def index_of_packed(self, rows) -> np.ndarray:
+        """Message indices of a concatenated code's messages given as rows of
+        packed outer symbols (one F-symbol per group of K-digits)."""
+        F, T = self.code.outer.field, self.code.outer.msg_len
+        return self._unpack[np.asarray(rows)] @ F.q ** np.arange(T - 1, -1, -1, dtype=np.int64)
+
+    def dist2_scan(self, w, idx=None) -> np.ndarray:
+        """dist2 from w to every codeword, or to the codewords of the message
+        indices `idx` in their order (erasures allowed, charged 1 each)."""
         w = np.asarray(w, dtype=np.int32)
+        if idx is not None:
+            idx = np.asarray(idx, dtype=np.intp)
         if self.words is not None:
-            return block_dist2(w[None], self.words)[0]
+            return block_dist2(w[None], self.words if idx is None else self.words[idx])[0]
         d2 = block_dist2(w.reshape(-1, self.inner_words.shape[1]), self.inner_words)
-        np.take(d2.ravel(), self.flat, out=self._gather)
-        return self._gather.sum(axis=1, dtype=np.int64)
+        # the full scan gathers into the buffer kept for it; take() copies the
+        # rows of idx faster than fancy indexing does
+        flat, out = ((self.flat, self._gather) if idx is None
+                     else (np.take(self.flat, idx, axis=0), None))
+        return np.take(d2.ravel(), flat, out=out).sum(axis=1, dtype=np.int64)
 
 
 def codebook(code: LinearCode) -> Codebook:
@@ -599,18 +614,23 @@ def _bw_decode(F: FieldSpec, xs, ys, k_rs: int):
 # ---------------------------------------------------------------------------
 # list decoding
 
-def list_decode_concat(code: LinearCode, w, eps, radius: Fraction | None = None):
+def list_decode_concat(code: LinearCode, w, eps, radius: Fraction | None = None,
+                       idx=None):
     """All (message, dist2) within relative radius (1-eps)/2 of w (erasures a
-    half each), by exhaustive codebook scan, sorted by dist2 then msg index."""
+    half each), sorted by dist2 then msg index, by one codebook scan over
+    every message or over the message indices `idx` only.  A restricted scan
+    returns the full result filtered to idx; an index given twice is listed
+    twice."""
     if radius is None:
         radius = (1 - Fraction(eps)) / 2
     cb = codebook(code)
-    d2 = cb.dist2_scan(w)
+    d2 = cb.dist2_scan(w, idx)
+    index = np.arange(len(d2)) if idx is None else np.asarray(idx, dtype=np.int64)
     thresh = radius * 2 * code.code_len  # dist2 <= 2*M*radius
     hits = np.nonzero(d2 <= float(thresh) + 1e-12)[0]
-    hits = [int(i) for i in hits if Fraction(int(d2[i])) <= thresh]
-    hits.sort(key=lambda i: (int(d2[i]), i))
-    return [(cb.msg_of_index(i), int(d2[i])) for i in hits]
+    hits = [(int(d2[h]), int(index[h])) for h in hits if Fraction(int(d2[h])) <= thresh]
+    hits.sort()
+    return [(cb.msg_of_index(i), d) for d, i in hits]
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ binary inner code re-encodes it.  Two local decoders read the core's curves:
 - smooth_local_decode: t_smooth curves, unique decoding per curve, and an
   exact confidence pair (p0, p1) with p0 + p1 == 1 (Fractions throughout).
 - decode_with_advice: t_advice iterations of higher-degree curves pinned at
-  uncorrupted advice blocks, exhaustive list decoding, advice filtering, and
-  a majority vote; raises AdviceMismatch when no iteration ever produces a
-  unique surviving candidate.
+  uncorrupted advice blocks, and a majority vote; raises AdviceMismatch when
+  no iteration ever produces a unique candidate.  Each iteration list-decodes
+  its curve word over the advice coset only: the curve polynomials h that
+  take the advice symbols at the iteration's nodes, an affine subspace of
+  codimension k_adv that advice_coset enumerates as codebook indices.
 
 Every decoder is split into a plan-sampling half (which positions to read)
 and a value-consuming half, so single-pass stream drivers can schedule reads
@@ -19,13 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .gf import GF, FieldSpec, poly_eval, poly_interpolate
-# codebook is imported for the benchmark's tracer, which wraps it by name here
-from .codes import (LinearCode, codebook, concat, list_decode_concat,  # noqa: F401
-                    rs_code, unique_decode, word_dist2)
+from .gf import GF, FieldSpec, field_pow, mul_lut, poly_interpolate
+from .codes import (LinearCode, _rref, codebook, concat,
+                    list_decode_concat, rs_code, unique_decode, word_dist2)
 from .ldc_core import (CurvePlan, RmLdc, SmoothPlan, curve_plan, encode, gather,
                        sample_smooth_plan)
 
@@ -99,6 +101,15 @@ class BinaryLdcParams(RmLdc):
     @property
     def advice_size(self) -> int:
         return self.k_adv * self.inner.code_len
+
+    @cached_property
+    def advice_grid(self) -> np.ndarray:
+        """Every assignment of the free coefficients h_{k_adv}..h_{k-1} of an
+        advice-code polynomial, one row each in lex order (for advice_coset)."""
+        q, ka = self.F.q, self.k_adv
+        k = self.advice_code.outer.msg_len
+        rows = np.arange(q ** (k - ka), dtype=np.int64)
+        return np.stack([(rows // q ** (k - 1 - j)) % q for j in range(ka, k)], axis=1)
 
     def describe(self) -> dict:
         return {"q": self.F.q, "m": self.m, "d": self.d, "n": self.n,
@@ -186,27 +197,49 @@ def sample_advice_plan(params: BinaryLdcParams, i: int, adv: AdvicePositions,
 
 def advice_symbols(params: BinaryLdcParams, adv_values) -> list:
     """Decode each advice block of bits to its field symbol by exact codebook
-    lookup; an invalid block gives None (and will fail every candidate)."""
+    lookup; an invalid block gives None (and no candidate survives it)."""
     L = params.block_len
     vals = np.asarray(adv_values, dtype=np.uint8)
     return [params._inner_lookup.get(vals[l * L:(l + 1) * L].tobytes())
             for l in range(params.k_adv)]
 
 
+def advice_coset(params: BinaryLdcParams, nodes, syms) -> np.ndarray:
+    """Advice-code codebook indices of the polynomials h of degree < k with
+    h(nodes[l]) == syms[l] for every l, in lex order of the free
+    coefficients.  The constraints [V | s] are F-linear in h, and the columns
+    of V for h_0..h_{k_adv-1} form an invertible Vandermonde matrix (the
+    nodes are distinct), so one elimination leaves [I | A | c]: the pinned
+    coefficients are c + A h_free for every free assignment."""
+    F, ka = params.F, params.k_adv
+    k = params.advice_code.outer.msg_len
+    V = [[field_pow(F, lam, j) for j in range(k)] for lam in nodes]
+    R = _rref(F, np.column_stack([V, syms]))[0]
+    free = params.advice_grid
+    h = np.empty((len(free), k), dtype=np.int64)
+    h[:, ka:] = free
+    for l in range(ka):
+        h[:, l] = R[l, k]
+        for j in range(ka, k):
+            h[:, l] ^= mul_lut(F, int(R[l, j]))[free[:, j - ka]]
+    return codebook(params.advice_code).index_of_packed(h)
+
+
 def decode_advice_from_words(params: BinaryLdcParams, plan: AdvicePlan,
                              words, adv_values) -> int:
+    """Majority vote over the iterations that end with exactly one candidate
+    in the advice coset within the list-decoding radius; each votes that
+    candidate's bit at the target.  An advice block that is not an inner
+    codeword pins no coset, so then no iteration scans or votes."""
     syms = advice_symbols(params, adv_values)
     votes = []
-    for it, word in zip(plan.iterations, words):
-        cands = list_decode_concat(params.advice_code, word, params.eps)
-        survivors = []
-        for msg, _ in cands:
-            coeffs = params.pack(msg).tolist()
-            if all(s is not None and poly_eval(params.F, coeffs, lam) == s
-                   for lam, s in zip(it.nodes, syms)):
-                survivors.append(coeffs[0])
-        if len(survivors) == 1:
-            votes.append(int(params.inner_words[survivors[0], plan.offset]))
+    if None not in syms:
+        for it, word in zip(plan.iterations, words):
+            cands = list_decode_concat(params.advice_code, word, params.eps,
+                                       idx=advice_coset(params, it.nodes, syms))
+            if len(cands) == 1:
+                h0 = int(params.pack(cands[0][0])[0])
+                votes.append(int(params.inner_words[h0, plan.offset]))
     if not votes:
         raise AdviceMismatch(
             f"no unique candidate in any of {params.t_advice} iterations")

@@ -135,6 +135,19 @@ def test_cli_repeat_decode_budget_zero(tmp_path):
     assert rc != 0
 
 
+def test_cli_repeat_decode_rejects_symbol_file(tmp_path, capsys):
+    # a GF(16) file of the right length, with erasures, is not a bit stream
+    n = build_params(load_profile("repeat-unit")).code_len
+    word = np.arange(n, dtype=np.int32) % 16
+    word[::7] = ERASE
+    write_stream_file(tmp_path / "w.bin", word, 4)
+    assert main(["repeat-decode", "--profile", "repeat-unit", "--seed", "0",
+                 "--in", str(tmp_path / "w.bin"),
+                 "--report", str(tmp_path / "rep.json")]) == 2
+    assert "must be a bit stream" in capsys.readouterr().err
+    assert not (tmp_path / "rep.json").exists()
+
+
 def test_cli_rejects_invalid_profile(tmp_path):
     bad = tmp_path / "bad.profile"
     bad.write_text("name=broken\ncodec=repeat\n")
@@ -163,6 +176,24 @@ def test_cli_tensor_pipeline(tmp_path):
     assert rep["bit"] == functional_dot(ell, msg)
     assert rep["live_ok"] is True
     assert not rep["invariant_fired"]
+
+
+def test_cli_linear_decode_rejects_symbol_file(tmp_path, capsys):
+    # a real codeword, erasures added, rewritten as a GF(16) symbol file
+    write_stream_file(tmp_path / "msg.bin", np.array([1, 0, 1, 1], dtype=np.int32), 0)
+    assert main(["linear-encode", "--profile", "tensor-small",
+                 "--in", str(tmp_path / "msg.bin"),
+                 "--out", str(tmp_path / "code.bin")]) == 0
+    word, _ = read_stream_file(tmp_path / "code.bin")
+    word[::7] = ERASE
+    write_stream_file(tmp_path / "w.bin", word, 4)
+    (tmp_path / "ell.hex").write_text(word_to_hex(GF(1), np.array([1, 0, 1, 1])))
+    assert main(["linear-decode", "--profile", "tensor-small",
+                 "--functional", str(tmp_path / "ell.hex"), "--seed", "2",
+                 "--in", str(tmp_path / "w.bin"),
+                 "--report", str(tmp_path / "rep.json")]) == 2
+    assert "must be a bit stream" in capsys.readouterr().err
+    assert not (tmp_path / "rep.json").exists()
 
 
 def test_cli_corrupt_rho_override(tmp_path):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamcode.gf import ERASE, GF, field_mul, poly_eval
+from streamcode.gf import ERASE, GF, field_mul, pack_symbols, poly_eval
 from streamcode.codes import (
     ConcatCode, LinearCode, _bw_decode, _gmd_inner, _gmd_sweep, codebook, concat,
     doubly_extended_rs, ecc_eps, extended_hamming_code, list_decode_concat, make_systematic,
@@ -429,6 +429,47 @@ def test_list_decode_radius_override():
     w = cc.encode(np.array([1, 1, 0, 0], dtype=np.int32))
     full = list_decode_concat(cc, w, 0, radius=Fraction(1))
     assert len(full) == 16  # radius 1 includes every codeword
+
+
+@pytest.mark.parametrize("make", [
+    toy_concat,
+    # GF(2) -> GF(256) packing, unlike GF(2) -> GF(4) or GF(16), is not its own inverse
+    lambda: concat(rs_code(GF(8), [1, 2, 3], 2),
+                   LinearCode(GF2, np.eye(8, dtype=np.int32), systematic_positions=tuple(range(8)))),
+], ids=["gf4", "gf256"])
+def test_index_of_packed_inverts_the_packing(make):
+    code = make()
+    cb = codebook(code)
+    K, F, e = code.field, code.outer.field, code.inner.msg_len
+    idx = np.random.default_rng(44).choice(code.msg_space, size=min(200, code.msg_space),
+                                           replace=False)
+    rows = [[pack_symbols(K, F, cb.msg_of_index(int(i))[t * e:(t + 1) * e])
+             for t in range(code.outer.msg_len)] for i in idx]
+    assert cb.index_of_packed(rows).tolist() == idx.tolist()
+
+
+@pytest.mark.parametrize("make", [toy_concat, lambda: rs_code(GF4, [0, 1, 2, 3], 2)],
+                         ids=["concat", "plain"])
+def test_list_decode_restricted_to_indices(make):
+    code = make()
+    cb = codebook(code)
+    rng = np.random.default_rng(43)
+    for w in noisy_words(code, rng, count=5):
+        full = list_decode_concat(code, w, 0, radius=Fraction(3, 4))
+        index = {tuple(cb.msg_of_index(i)): i for i in range(code.msg_space)}
+        assert len(full) > 1
+        for idx in [rng.choice(code.msg_space, size=7, replace=False), np.arange(code.msg_space),
+                    [index[tuple(m)] for m, _ in full][::-1], []]:
+            got = list_decode_concat(code, w, 0, radius=Fraction(3, 4), idx=idx)
+            want = [(tuple(m), d2) for m, d2 in full if index[tuple(m)] in set(idx)]
+            assert [(tuple(m), d2) for m, d2 in got] == want
+        # an index given twice is listed twice
+        hits = {index[tuple(m)]: d2 for m, d2 in full}
+        i = index[tuple(full[0][0])]
+        twice = [i, (i + 1) % code.msg_space, i]
+        got = list_decode_concat(code, w, 0, radius=Fraction(3, 4), idx=twice)
+        assert [(d2, index[tuple(m)]) for m, d2 in got] == \
+            sorted((hits[j], j) for j in twice if j in hits)
 
 
 # ---------------------------------------------------------------------------

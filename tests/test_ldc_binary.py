@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamcode.gf import GF, pack_symbols, poly_eval
-from streamcode.codes import extended_hamming_code, replicate, simplex_code
+from streamcode.codes import (codebook, extended_hamming_code, list_decode_concat,
+                              replicate, simplex_code)
 from streamcode.ldc_binary import (
-    AdviceMismatch, BinaryLdcParams, asymptotic_regime, decode_with_advice,
-    ldc_encode, sample_advice, sample_smooth_plan, smooth_local_decode,
-    smooth_confidence_from_words, gather,
+    AdviceMismatch, BinaryLdcParams, advice_coset, advice_symbols,
+    asymptotic_regime, decode_advice_from_words, decode_with_advice,
+    ldc_encode, sample_advice, sample_advice_plan, sample_smooth_plan,
+    smooth_local_decode, smooth_confidence_from_words, gather,
 )
+from streamcode.profiles import build_params, load_profile
 
 
 def toy_params(**over):
@@ -214,6 +217,98 @@ def test_advice_wrong_but_valid_advice_changes_answer_or_mismatches():
         wrong_sym_bits = p.inner_words[8]
     with pytest.raises(AdviceMismatch):
         decode_with_advice(w, 0, adv, wrong_sym_bits, p, rng)
+
+
+def _passes_advice(p, msg, nodes, syms):
+    coeffs = p.pack(msg).tolist()
+    return all(s is not None and poly_eval(p.F, coeffs, lam) == s
+               for lam, s in zip(nodes, syms))
+
+
+def _reference_advice(p, plan, words, adv_values):
+    """Advice decoding as a list decode of the whole codebook followed by
+    the h(lambda_l) == s_l filter: (survivor list per iteration, vote or
+    AdviceMismatch)."""
+    syms = advice_symbols(p, adv_values)
+    lists, votes = [], []
+    for it, word in zip(plan.iterations, words):
+        kept = [(tuple(msg), d2) for msg, d2 in list_decode_concat(p.advice_code, word, p.eps)
+                if _passes_advice(p, msg, it.nodes, syms)]
+        lists.append(kept)
+        if len(kept) == 1:
+            votes.append(int(p.inner_words[p.pack(kept[0][0])[0], plan.offset]))
+    if not votes:
+        return lists, AdviceMismatch
+    return lists, 1 if 2 * sum(votes) > len(votes) else 0
+
+
+def _coset_lists(p, plan, words, adv_values):
+    syms = advice_symbols(p, adv_values)
+    if None in syms:
+        return [[] for _ in plan.iterations]
+    return [[(tuple(msg), d2) for msg, d2 in list_decode_concat(
+                p.advice_code, word, p.eps, idx=advice_coset(p, it.nodes, syms))]
+            for it, word in zip(plan.iterations, words)]
+
+
+def _vote(p, plan, words, adv_values):
+    try:
+        return decode_advice_from_words(p, plan, words, adv_values)
+    except AdviceMismatch:
+        return AdviceMismatch
+
+
+ADVICE_PARAMS = {
+    "toy-kadv1": lambda: toy_params(),                    # 256 messages, cosets of 16
+    "toy-kadv2": lambda: toy_params(k_adv=2),             # 4096 messages, cosets of 16
+    "repeat-toy": lambda: build_params(load_profile("repeat-toy")).ldc,  # 65536, of 4096
+}
+
+
+@pytest.mark.parametrize("name", list(ADVICE_PARAMS))
+def test_advice_coset_is_the_filtered_codebook(name):
+    p = ADVICE_PARAMS[name]()
+    cb = codebook(p.advice_code)
+    rng = random.Random(15)
+    for _ in range(3):
+        nodes = rng.sample(p.nonzero_points, p.k_adv)
+        syms = [rng.randrange(p.F.q) for _ in range(p.k_adv)]
+        idx = advice_coset(p, nodes, syms)
+        assert len(idx) == p.advice_code.msg_space // p.F.q ** p.k_adv
+        assert len(set(idx.tolist())) == len(idx)
+        sample = idx[rng.sample(range(len(idx)), min(64, len(idx)))]
+        assert all(_passes_advice(p, cb.msg_of_index(int(i)), nodes, syms) for i in sample)
+
+
+@pytest.mark.parametrize("name", list(ADVICE_PARAMS))
+def test_advice_coset_decode_matches_full_scan_filter(name):
+    """The coset scan gives the reference's survivor lists in (dist2, index)
+    order and its vote or AdviceMismatch, on clean and flipped words, an
+    invalid advice block and wrong-but-valid advice."""
+    p = ADVICE_PARAMS[name]()
+    rng = random.Random(16)
+    sizes = []
+    for case in ["clean", 0.2, 0.3, 0.4, "invalid", "wrong"] * 3:
+        x = random_message(p, rng)
+        w = ldc_encode(p, x)
+        adv = sample_advice(p, rng)
+        vals = gather(w, list(adv.positions)).copy()
+        if case == "invalid":
+            vals[rng.randrange(len(vals))] ^= 1
+        elif case == "wrong":
+            true_syms = advice_symbols(p, vals)
+            vals = np.concatenate([p.inner_words[(s + rng.randrange(1, p.F.q)) % p.F.q]
+                                   for s in true_syms])
+        elif case != "clean":
+            for pos in rng.sample(range(p.code_len), int(case * p.code_len)):
+                w[pos] ^= 1
+        plan = sample_advice_plan(p, rng.randrange(p.n), adv, rng)
+        words = [gather(w, it.positions) for it in plan.iterations]
+        want_lists, want_vote = _reference_advice(p, plan, words, vals)
+        assert _coset_lists(p, plan, words, vals) == want_lists, case
+        assert _vote(p, plan, words, vals) == want_vote, case
+        sizes += [len(kept) for kept in want_lists]
+    assert {0, 1} <= set(sizes)   # both a vote and an iteration that abstains
 
 
 def test_equidistant_inner_variant_builds():
