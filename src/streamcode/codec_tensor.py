@@ -19,8 +19,11 @@ Sharing discipline across the parallel instances of linear_dec:
   - base blocks: one decode and one acceptance coin, cached per block tuple —
     instances never disagree on a block's sigma/⊥ outcome;
   - level-1 nodes: their (value, p) pair is a deterministic function of the
-    shared base outcomes and the per-level query lists, so it is computed once
-    and cached; every instance still draws its own acceptance coin on it;
+    shared base outcomes and the per-level query lists, so every node the
+    lists of levels d..2 reach is computed before any instance runs
+    (_fill_level1): their distinct curve words, keyed by (T, child index,
+    curve, coefficient), go through one batched curve scan.  Every instance
+    still draws its own acceptance coin on a node;
   - levels above 1 (and the roots): fully per-instance, coins included.
 Query lists are generated once per level and reused by all instances, which
 is what keeps the live-tuple count under cap^depth (cap = ceil(3 r Q^2 / R)).
@@ -32,6 +35,7 @@ counter rather than a bit ledger.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -42,7 +46,8 @@ import numpy as np
 from .gf import ERASE, GF, FieldSpec, field_mul, mul_lut, pack_symbols
 from .codes import (LinearCode, block_dist2, codebook, concat, repetition_code,
                     symbol_words)
-from .ldc_large import (LargeLdcParams, QueryLists, confidence_from_words_large,
+from .ldc_large import (LargeLdcParams, confidence_from_decoded,
+                        confidence_from_words_large, decode_curves_large,
                         gen_qlists, overlap_cap)
 from .stream import SymbolStream
 
@@ -117,45 +122,19 @@ class TensorParams:
         assert self.axis_code.msg_len == self.ldc.r
         assert self.axis_code.code_len == self.R
 
-    @property
-    def K(self) -> FieldSpec:
-        return self.ldc.K
-
-    @property
-    def r(self) -> int:
-        return self.ldc.r
-
-    @property
-    def R(self) -> int:
-        return self.ldc.code_len
-
-    @property
-    def Q(self) -> int:
-        return self.ldc.queries
-
-    @property
-    def N_inner(self) -> int:
-        return self.base_code.code_len
-
-    @property
-    def cap(self) -> int:
-        return overlap_cap(self.r, self.Q, self.R)
-
-    @property
-    def code_bits(self) -> int:
-        return self.N_inner * self.R ** self.depth
+    K = property(lambda self: self.ldc.K)
+    r = property(lambda self: self.ldc.r)
+    R = property(lambda self: self.ldc.code_len)
+    Q = property(lambda self: self.ldc.queries)
+    N_inner = property(lambda self: self.base_code.code_len)
+    cap = property(lambda self: overlap_cap(self.r, self.Q, self.R))
+    code_bits = property(lambda self: self.N_inner * self.R ** self.depth)
 
     def describe(self) -> dict:
-        return {
-            "axis": self.ldc.describe(),
-            "depth": self.depth,
-            "n": self.n,
-            "r": self.r, "R": self.R, "Q": self.Q,
-            "N_inner": self.N_inner,
-            "cap": self.cap,
-            "code_bits": self.code_bits,
-            "instances": self.instances,
-        }
+        return {"axis": self.ldc.describe(), "depth": self.depth, "n": self.n,
+                "r": self.r, "R": self.R, "Q": self.Q, "N_inner": self.N_inner,
+                "cap": self.cap, "code_bits": self.code_bits,
+                "instances": self.instances}
 
 
 def default_instances(n: int) -> int:
@@ -230,11 +209,11 @@ def enc_linear(params: TensorParams, x) -> np.ndarray:
 # decoding
 
 def _coin(rng, p: Fraction) -> bool:
-    if p >= 1:
-        return True
-    if p <= 0:
-        return False
-    return rng.randrange(p.denominator) < p.numerator
+    """True with probability p; p >= 1 and p <= 0 draw nothing."""
+    num, den = p.numerator, p.denominator  # den > 0, so no Fraction compares
+    if num >= den or num <= 0:
+        return num > 0
+    return rng.randrange(den) < num
 
 
 def _base_tables(params: TensorParams):
@@ -264,16 +243,19 @@ def _decode_base_blocks(params: TensorParams, word, keys, rng) -> dict:
     decode, then one acceptance coin at probability 1 - 2*delta, drawn in
     key order (the stream order when keys are)."""
     d, Ni = params.depth, params.N_inner
-    flats = np.array([sum(j * params.R ** (d - 1 - u) for u, j in enumerate(k))
-                      for k in keys], dtype=np.int64)
-    blocks = np.asarray(word)[flats[:, None] * Ni + np.arange(Ni)]
-    syms_tbl, d2_tbl = _base_tables(params)
-    idxs = blocks.astype(np.int64) @ (1 << np.arange(Ni, dtype=np.int64))
-    out = {}
-    for key, sym, d2 in zip(keys, syms_tbl[idxs].tolist(), d2_tbl[idxs].tolist()):
-        accept = sym >= 0 and _coin(rng, 1 - Fraction(d2, Ni))
-        out[key] = sym if accept else None
-    return out
+    syms_tbl, d2_tbl = _base_tables(params)  # Ni <= 16, so block indices fit int32
+    flats = np.array(keys, dtype=np.int64).reshape(len(keys), d) \
+        @ params.R ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    idxs = np.asarray(word).reshape(-1, Ni)[flats] @ (1 << np.arange(Ni, dtype=np.int32))
+    syms, d2s = syms_tbl[idxs], d2_tbl[idxs]
+    # coin probability 1 - d2/Ni in lowest terms, tabled by d2 = 0..2*Ni
+    ps = [1 - Fraction(d2, Ni) for d2 in range(2 * Ni + 1)]
+    nums = np.array([p.numerator for p in ps])[d2s]
+    dens = np.array([p.denominator for p in ps])[d2s]
+    keep = (syms >= 0) & (nums > 0)  # as _coin: p >= 1 keeps and p <= 0 drops, drawing nothing
+    for k in np.flatnonzero(keep & (nums < dens)).tolist():
+        keep[k] = rng.randrange(int(dens[k])) < nums[k]
+    return dict(zip(keys, [s if kp else None for s, kp in zip(syms.tolist(), keep.tolist())]))
 
 
 def recurse_linear(params: TensorParams, a: int, T: tuple,
@@ -282,47 +264,79 @@ def recurse_linear(params: TensorParams, a: int, T: tuple,
     """Value of the functional ell on the message behind block tuple T, or
     None (⊥).  a is the remaining depth; qlists maps each remaining depth to
     its per-index query lists; base_cache holds the shared outcome of every
-    base block the lists reach (see _decode_base_blocks)."""
+    base block the lists reach (see _decode_base_blocks) and node_cache the
+    (value, p) of level-1 nodes (see _fill_level1, which fills a missing one)."""
     if a == 0:
         out = base_cache[T]
-        if out is None:
-            return None
-        return field_mul(params.K, ell.scalar, out)
-    key = (T, ell.path)
-    cached = node_cache.get(key) if a == 1 else None
-    if cached is None:
-        value, p = _node_value(params, a, T, ell, qlists, rng, base_cache, node_cache)
-        if a == 1:
-            node_cache[key] = (value, p)
+        return None if out is None else field_mul(params.K, ell.scalar, out)
+    if a == 1:
+        key = (T, ell.path)
+        if key not in node_cache:
+            _fill_level1(params, [(T, ell)], qlists, base_cache, node_cache)
+        value, p = node_cache[key]
     else:
-        value, p = cached
+        value, p = _node_value(params, a, T, ell, qlists, rng, base_cache, node_cache)
     if value is None:
         return None
     return value if _coin(rng, p) else None
 
 
+def _fold(merged) -> tuple:
+    """(sigma_1 + ... + sigma_r, min_i p_i) over the merged (sigma_i, p_i)
+    confidences of a node's indices, or (None, 0) at the first index with no
+    field-symbol mass; merged is consumed lazily, so later indices never run."""
+    total, p_min = 0, Fraction(1)
+    for sigma, p in merged:
+        if sigma is None:
+            return None, Fraction(0)
+        total, p_min = total ^ sigma, min(p_min, p)
+    return total, p_min
+
+
 def _node_value(params: TensorParams, a: int, T: tuple, ell: LinearFunctional,
                 qlists: dict, rng, base_cache: dict, node_cache: dict):
-    """(sigma_1 + ... + sigma_r, min_i p_i) before the acceptance coin, or
-    (None, 0) when any index yields no field-symbol mass at all."""
-    ql: QueryLists = qlists[a]
-    total = 0
-    p_min = Fraction(1)
-    for i in range(params.r):
-        child_ell = ell.restrict(i, params.r)
+    """(value, p) of a node above level 1 before its acceptance coin; its
+    children draw their coins index by index, up to the first ⊥ index."""
+    def merged(i):
+        ql, child_ell = qlists[a], ell.restrict(i, params.r)
         values = {j: recurse_linear(params, a - 1, T + (j,), child_ell, qlists, rng,
                                     base_cache, node_cache)
                   for j in sorted({int(p) for p in ql.lists[i]})}
-        plan = ql.plans[i]
-        words = [np.array([ERASE if values[int(j)] is None else values[int(j)]
-                           for j in cv.positions], dtype=np.int32)
-                 for cv in plan.curves]
-        sigma, p_sig, _ = confidence_from_words_large(params.ldc, plan, words).merged()
-        if sigma is None:
-            return None, Fraction(0)
-        total ^= sigma
-        p_min = min(p_min, p_sig)
-    return total, p_min
+        words = [[ERASE if values[j] is None else values[j] for j in cv.positions]
+                 for cv in ql.plans[i].curves]
+        return confidence_from_words_large(params.ldc, ql.plans[i], words).merged()[:2]
+    return _fold(merged(i) for i in range(params.r))
+
+
+def _fill_level1(params: TensorParams, nodes: list, qlists: dict,
+                 base_cache: dict, node_cache: dict):
+    """node_cache[(T, ell.path)] = (value, p) for every level-1 node (T, ell),
+    folded as _node_value folds, with the nodes' distinct curve words (one
+    per (T, child index, curve, coefficient)) decoded by one batched scan.
+    Level 1 draws no coins, so an index past a ⊥ one only costs a scan."""
+    K, plans = params.K, qlists[1].plans
+    heads = sorted({int(p) for lst in qlists[1].lists for p in lst})
+    pos = [np.array([cv.positions for cv in plan.curves]) for plan in plans]
+    rows, spans, words = {}, {}, []
+    for T, ell in nodes:
+        if T not in rows:  # base outcome of block T + (j,) at j; -1 for ⊥ or unread
+            rows[T] = row = np.full(params.R, -1, dtype=np.int32)
+            row[heads] = [-1 if (v := base_cache[T + (j,)]) is None else v for j in heads]
+        for i, c in enumerate(ell.coeffs.tolist()):
+            if (T, i, c) not in spans:
+                spans[T, i, c] = range(len(words), len(words) + len(pos[i]))
+                x = rows[T][pos[i]]
+                words.extend(np.where(x < 0, ERASE, mul_lut(K, c)[x]))
+    decoded, folds = decode_curves_large(params.ldc, words), {}
+
+    def merged(T, i, c):  # equal curve outcomes of an index fold to equal confidences
+        got = (i,) + tuple(decoded[w] for w in spans[T, i, c])
+        if got not in folds:
+            folds[got] = confidence_from_decoded(params.ldc, plans[i], got[1:]).merged()[:2]
+        return folds[got]
+    for T, ell in nodes:
+        node_cache[T, ell.path] = _fold(merged(T, i, c)
+                                        for i, c in enumerate(ell.coeffs.tolist()))
 
 
 def lift_functional(params: TensorParams, ell_bits) -> LinearFunctional:
@@ -361,41 +375,27 @@ def linear_dec_traced(params: TensorParams, stream: SymbolStream, ell_bits,
     # shared base outcomes, drawn in stream order (fixed coin schedule)
     needed = [sorted({int(p) for lst in qlists[a].lists for p in lst})
               for a in range(d, 0, -1)]
-    base_cache = _decode_base_blocks(params, word, list(_lex_product(needed)), rng)
+    base_cache = _decode_base_blocks(params, word, list(itertools.product(*needed)), rng)
 
+    # every level-1 node the lists of levels d..2 reach, filled before any instance
+    nodes = [((), ell)]
+    for a in range(d, 1, -1):
+        nodes = [(T + (j,), f.restrict(i, params.r)) for T, f in nodes
+                 for i in range(params.r) for j in sorted({int(p) for p in qlists[a].lists[i]})]
     node_cache: dict = {}
+    _fill_level1(params, nodes, qlists, base_cache, node_cache)
     votes, bots = [], 0
     for seed in seeds:
         inst_rng = random.Random(seed)
-        val = recurse_linear(params, d, (), ell, qlists, inst_rng,
-                             base_cache, node_cache)
-        if val is None:
-            bots += 1
-            votes.append(inst_rng.randrange(2))
-        else:
-            votes.append(val & 1)
+        val = recurse_linear(params, d, (), ell, qlists, inst_rng, base_cache, node_cache)
+        bots += val is None
+        votes.append(inst_rng.randrange(2) if val is None else val & 1)
     bit = 1 if sum(votes) * 2 > len(votes) else 0
-    diag = {
-        "votes": votes,
-        "bot_instances": bots,
-        "live_max": live_max,
-        "live_cap": live_cap,
-        "live_ok": all(live_max[j] <= live_cap[j] for j in live_max),
-        "base_blocks": len(base_cache),
-        "level1_nodes": len(node_cache),
-        "qlist_cap": params.cap,
-    }
-    return bit, diag
-
-
-def _lex_product(needed_per_level: list):
-    if not needed_per_level:
-        yield ()
-        return
-    head, *rest = needed_per_level
-    for j in head:
-        for tail in _lex_product(rest):
-            yield (j,) + tail
+    return bit, {"votes": votes, "bot_instances": bots, "live_max": live_max,
+                 "live_cap": live_cap,
+                 "live_ok": all(live_max[j] <= live_cap[j] for j in live_max),
+                 "base_blocks": len(base_cache), "level1_nodes": len(node_cache),
+                 "qlist_cap": params.cap}
 
 
 def linear_dec(params: TensorParams, stream: SymbolStream, ell_bits,

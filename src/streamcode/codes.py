@@ -9,10 +9,14 @@ absolute distance) so that erasures can count exactly one half each.
 Every word-to-code distance goes through block_dist2, the dist2 of each
 block of a word to each row of a table of inner codewords.  A plain code's
 Codebook scans its whole codeword table as one block.  A concatenated code's
-Codebook measures each block against the |F| inner codewords once and sums
-the outer codewords' entries with one gather, so it never builds the
-codeword table.  GMD's inner decode and the tensor codec's base table use
-the same function against the inner code's codewords.
+Codebook measures each block against the |F| inner codewords once, sums
+those distances over a few consecutive blocks into one table per group
+(indexed by the group's combined F-symbols), and adds, group by group, one
+take of that table over the group's column of outer-codeword symbols, so it
+never builds the codeword table.  A scan takes one word or a stack of words;
+a stack shares every take (the tensor decoder scans its level-1 curve words
+that way).  GMD's inner decode and the tensor codec's base table use the
+same block_dist2 against the inner code's codewords.
 
 Decoding entry points:
 
@@ -30,10 +34,10 @@ Decoding entry points:
   candidate is measured through the same block table.  Anything else small
   enough falls back to the brute-force scan.
 - list_decode_concat: all codewords within a radius, by one codebook scan
-  (block table plus gather for concatenated codes; the codebook is capped at
-  2^20 messages by design).  The scan covers every message, or only the
-  message indices the caller passes, as the advice decoder does with the
-  coset its advice pins; both go through the same gather and threshold.
+  (block table plus per-group takes for concatenated codes; the codebook is
+  capped at 2^20 messages by design).  The scan covers every message, or only
+  the message indices the caller passes, as the advice decoder does with the
+  coset its advice pins; both go through the same takes and threshold.
 
 Linear algebra over the field (make_systematic, gf_solve, validate, and
 ldc_binary's advice coset) is one Gauss-Jordan elimination, _rref.
@@ -379,9 +383,13 @@ class Codebook:
     (message symbol 0 most significant).
 
     A plain code keeps every codeword in `words`.  A concatenated code keeps
-    none: per message it holds its outer codeword as flat indices into the
-    (block, F-symbol) table of block distances to the |F| inner codewords,
-    so a scan measures each block once and sums one gather."""
+    none: it holds the outer codewords column by column, in groups of `group`
+    consecutive blocks (the last one padded with blocks at distance 0), where
+    `cols[b]` is the combined F-symbol of group b in every message's codeword
+    (q^group <= 256 values).  A scan measures each block once against the |F|
+    inner codewords, sums those distances into one table per group over its
+    combined symbols, and adds, group by group, one take of that table at the
+    group's column."""
 
     def __init__(self, code: LinearCode):
         if code.msg_space > BRUTE_FORCE_LIMIT:
@@ -398,9 +406,12 @@ class Codebook:
             outer_idx = np.zeros_like(idx)
             for t in range(outer.msg_len):
                 outer_idx = outer_idx * F.q + pack[(idx // F.q ** (outer.msg_len - 1 - t)) % F.q]
+            self.group = g = max(1, 8 // F.k)
             rows = codebook(outer).words[outer_idx]
-            self.flat = np.arange(outer.code_len, dtype=np.intp) * F.q + rows  # take()'s index type
-            self._gather = np.empty(self.flat.shape, dtype=_dist2_dtype(code.block_len))
+            # intp is take()'s index type; a padding block adds symbol 0
+            self.cols = np.zeros((-(-outer.code_len // g), len(idx)), dtype=np.intp)
+            for b in range(outer.code_len):  # q^g <= 256, so each term fits rows' int16
+                self.cols[b // g] += rows[:, b] * F.q ** (g - 1 - b % g)
             return
         K, m = code.field, code.msg_len
         self.words = np.zeros((code.msg_space, code.code_len), dtype=np.int16)
@@ -421,18 +432,32 @@ class Codebook:
 
     def dist2_scan(self, w, idx=None) -> np.ndarray:
         """dist2 from w to every codeword, or to the codewords of the message
-        indices `idx` in their order (erasures allowed, charged 1 each)."""
+        indices `idx` in their order (erasures allowed, charged 1 each).  A
+        stack of words (a 2-D w) gives one row of distances per word."""
         w = np.asarray(w, dtype=np.int32)
+        stack = w.reshape(-1, w.shape[-1])
         if idx is not None:
             idx = np.asarray(idx, dtype=np.intp)
         if self.words is not None:
-            return block_dist2(w[None], self.words if idx is None else self.words[idx])[0]
-        d2 = block_dist2(w.reshape(-1, self.inner_words.shape[1]), self.inner_words)
-        # the full scan gathers into the buffer kept for it; take() copies the
-        # rows of idx faster than fancy indexing does
-        flat, out = ((self.flat, self._gather) if idx is None
-                     else (np.take(self.flat, idx, axis=0), None))
-        return np.take(d2.ravel(), flat, out=out).sum(axis=1, dtype=np.int64)
+            d2 = block_dist2(stack, self.words if idx is None else self.words[idx])
+        else:
+            n, (q, blen), g = len(stack), self.inner_words.shape, self.group
+            cols = self.cols if idx is None else np.take(self.cols, idx, axis=1)
+            # every dist2 is at most 2 * code_len, which this dtype holds
+            d2 = np.zeros((n, cols.shape[1]), dtype=_dist2_dtype(self.code.code_len))
+            # block distances to the inner codewords; padding blocks stay at 0
+            blocks = np.zeros((n, len(cols) * g, q), dtype=d2.dtype)
+            blocks[:, :stack.shape[1] // blen] = block_dist2(
+                stack.reshape(-1, blen), self.inner_words).reshape(n, -1, q)
+            blocks = blocks.reshape(n, len(cols), g, q)
+            # per group, distances by combined symbol (first block most significant)
+            table = blocks[:, :, 0]
+            for k in range(1, g):
+                table = (table[..., None] + blocks[:, :, k, None, :]).reshape(n, len(cols), -1)
+            part = np.empty_like(d2)
+            for b, col in enumerate(cols):  # valid symbols: clip skips take()'s buffer
+                d2 += np.take(table[:, b], col, axis=1, out=part, mode="clip")
+        return d2 if w.ndim == 2 else d2[0]
 
 
 def codebook(code: LinearCode) -> Codebook:

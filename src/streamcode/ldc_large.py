@@ -11,8 +11,12 @@ decoding within radius 1/2 - eps/2 (erasure-aware) is realized by zeroing
 erasures, list decoding within radius 1 - eps/2, and keeping the candidate of
 least true distance among those within the unique radius; a decoded curve
 contributes mass 1 - 2*delta on its symbol and 2*delta on ⊥.  The scan is
-the curve code's codes.Codebook scan: one table of block distances to the
-|F| inner codewords per word, then one gather over every curve message.
+the curve code's codes.Codebook scan over a stack of words, SCAN_CHUNK words
+at a time: one table of block distances to the |F| inner codewords, then per
+group of blocks one take over every curve message, shared by the stack.  A
+caller holding many curve words (the tensor decoder's level-1 nodes) decodes
+them in one call to decode_curves_large and folds each plan's share with
+confidence_from_decoded.
 
 gen_qlists draws per-index query plans whose positions respect a global
 overlap cap (no position serves more than ceil(3 r Q^2 / R) of the r lists),
@@ -106,33 +110,43 @@ class LargeLdcParams(RmLdc):
 # ---------------------------------------------------------------------------
 # smooth local decoding
 
-def _decode_curve_large(params: LargeLdcParams, word):
-    """(h(0), dist2) of the closest curve codeword within erasure-aware
-    relative radius 1/2 - eps/2, or None.
+SCAN_CHUNK = 16  # words per stacked scan; bounds its (words, messages) table
+
+
+def decode_curves_large(params: LargeLdcParams, words) -> list:
+    """Per word, (h(0), dist2) of the closest curve codeword within
+    erasure-aware relative radius 1/2 - eps/2, or None.
 
     Conceptually: zero the erasures, list decode within radius 1 - eps/2
     (zeroing can inflate each erasure's charge from 1/2 to at most 1, so that
     list contains every candidate within the true radius), then re-check with
     the erasure-aware distance.  Since the scan is exhaustive anyway, one
     erasure-aware scan computes the same closest-in-radius answer."""
-    d2 = codebook(params.curve_code).dist2_scan(word)
-    i = int(np.argmin(d2))  # ties break to the smallest message index
-    L2 = 2 * params.curve_code.code_len
-    if Fraction(int(d2[i]), L2) > Fraction(1, 2) - params.eps / 2:
-        return None
-    # the top e K-digits of message index i are the packing of h(0)
-    T = params.curve_code.outer.msg_len
-    return int(params.pack_tbl[i // params.F.q ** (T - 1)]), int(d2[i])
+    cb = codebook(params.curve_code)
+    L = params.curve_code.code_len
+    radius2 = math.floor((Fraction(1, 2) - params.eps / 2) * 2 * L)
+    # the top e K-digits of a message index are the packing of h(0)
+    top = params.F.q ** (params.curve_code.outer.msg_len - 1)
+    words = np.asarray(words, dtype=np.int32).reshape(-1, L)
+    out = []
+    for s in range(0, len(words), SCAN_CHUNK):
+        d2 = cb.dist2_scan(words[s:s + SCAN_CHUNK])
+        best = d2.argmin(axis=1)  # ties break to the smallest message index
+        least = d2[np.arange(len(best)), best]
+        del d2  # free this chunk's table before the next one is built
+        for i, e in zip(best.tolist(), least.tolist()):
+            out.append(None if e > radius2 else (int(params.pack_tbl[i // top]), e))
+    return out
 
 
-def confidence_from_words_large(params: LargeLdcParams, plan: SmoothPlan,
-                                words) -> ConfidenceDist:
+def confidence_from_decoded(params: LargeLdcParams, plan: SmoothPlan,
+                            decoded) -> ConfidenceDist:
+    """Fold the decode_curves_large outcomes of a plan's curve words."""
     t = params.t
     L2 = 2 * params.curve_code.code_len
     mass: dict = {}
     bot = Fraction(0)
-    for word in words:
-        got = _decode_curve_large(params, word)
+    for got in decoded:
         if got is None:
             bot += Fraction(1, t)
             continue
@@ -142,6 +156,11 @@ def confidence_from_words_large(params: LargeLdcParams, plan: SmoothPlan,
         mass[sigma] = mass.get(sigma, Fraction(0)) + (1 - 2 * delta) / t
         bot += 2 * delta / t
     return ConfidenceDist(mass, bot)
+
+
+def confidence_from_words_large(params: LargeLdcParams, plan: SmoothPlan,
+                                words) -> ConfidenceDist:
+    return confidence_from_decoded(params, plan, decode_curves_large(params, words))
 
 
 def smooth_local_decode_large(oracle, i: int, params: LargeLdcParams, rng,

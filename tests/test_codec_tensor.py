@@ -18,7 +18,7 @@ from streamcode.codec_tensor import (LinearFunctional, TensorParams,
                                      lift_functional, linear_dec,
                                      linear_dec_traced, recurse_linear,
                                      tensor_encode, tensor_regime,
-                                     _base_tables, _decode_base_blocks,
+                                     _base_tables, _coin, _decode_base_blocks,
                                      _symbol_bit_words)
 
 GF4 = GF(2)
@@ -280,6 +280,46 @@ def test_base_outcome_shared_across_rngs():
     assert outs_a == outs_b
     assert rng_b.getstate() == state
     assert any(o is None for o in outs_a) and any(o is not None for o in outs_a)
+
+
+def reference_base_blocks(P, word, keys, rng):
+    """One block at a time: table lookup, then _coin at 1 - Fraction(d2, Ni)."""
+    syms_tbl, d2_tbl = _base_tables(P)
+    view = word.reshape((P.R,) * P.depth + (P.N_inner,))
+    out = {}
+    for key in keys:
+        idx = sum(int(b) << k for k, b in enumerate(view[key]))
+        sym, d2 = int(syms_tbl[idx]), int(d2_tbl[idx])
+        out[key] = sym if sym >= 0 and _coin(rng, 1 - Fraction(d2, P.N_inner)) else None
+    return out
+
+
+def test_base_coins_match_reference_at_every_dist2():
+    # six-bit blocks: 1 - 3/6 must draw as 1/2.  (randrange draws the same
+    # bits for a fraction left unreduced by a power of two, so eight-bit
+    # blocks could not tell a wrongly reduced coin table apart.)
+    gen = np.array([[1, 0], [0, 1], [1, 1], [1, 0], [0, 1], [1, 1]], dtype=np.int32)
+    P = TensorParams(ldc=toy_ldc(), depth=2, n=16, instances=16,
+                     base_code=LinearCode(GF(1), gen, systematic_positions=(0, 1)))
+    Ni, n_idx = P.N_inner, 1 << P.N_inner
+    # a stand-in decode table reaching every dist2 from 0 to 2*Ni, some blocks ⊥
+    idx = np.arange(n_idx)
+    d2s = idx % (2 * Ni + 1)
+    syms = np.where((idx // (2 * Ni + 1)) % 3 == 2, -1, idx % 4).astype(np.int32)
+    P._base_tbl = (syms, d2s.astype(np.int64))
+    rng = random.Random(47)
+    keys = rng.sample([(i, j) for i in range(P.R) for j in range(P.R)], 600)
+    assert keys != sorted(keys)
+    values = list(range(2 * Ni + 1)) + [rng.randrange(n_idx) for _ in keys[2 * Ni + 1:]]
+    blocks = {key: [(v >> b) & 1 for b in range(Ni)] for key, v in zip(keys, values)}
+    assert {int(d2s[v]) for v in range(2 * Ni + 1) if syms[v] >= 0} == set(range(2 * Ni + 1))
+    word = word_with_blocks(P, blocks)
+    rng_a, rng_b = random.Random(48), random.Random(48)
+    got = _decode_base_blocks(P, word, keys, rng_a)
+    want = reference_base_blocks(P, word, keys, rng_b)
+    assert list(got) == keys and got == want
+    assert rng_a.getstate() == rng_b.getstate()
+    assert rng_a.getstate() != random.Random(48).getstate()   # coins were drawn
 
 
 def test_base_table_rejects_beyond_radius():

@@ -268,6 +268,30 @@ def test_concat_block_scan_matches_word_dist2(make, samples):
             assert int(d2[i]) == word_dist2(w, c), i
 
 
+# (single-row scans are checked against word_dist2 above; outer fields give
+# groups of 4 (GF(4)), 2 (GF(16)) and 1 (GF(256)) blocks, 3 and 15 blocks pad)
+@pytest.mark.parametrize("make", [
+    toy_concat,
+    lambda: concat(rs_code(GF4, [0, 1, 2], 2), inner_4_2_2()),
+    _tensor_toy_curve_code,
+    lambda: concat(rs_code(GF(8), [1, 2, 3], 2),
+                   LinearCode(GF2, np.eye(8, dtype=np.int32), systematic_positions=tuple(range(8)))),
+    lambda: rs_code(GF4, [0, 1, 2, 3], 2),
+], ids=["concat-gf4", "concat-gf4-padded", "tensor-toy-curve", "concat-gf256", "plain"])
+def test_dist2_scan_stack_matches_rows(make):
+    code = make()
+    cb = codebook(code)
+    rng = np.random.default_rng(45)
+    stack = np.array(noisy_words(code, rng, count=5))
+    assert (stack == ERASE).any()
+    picked = rng.choice(code.msg_space, size=min(9, code.msg_space), replace=False)
+    for idx in [None, picked, [], [int(picked[0]), int(picked[1]), int(picked[0])]]:
+        got = cb.dist2_scan(stack, idx)
+        rows = [cb.dist2_scan(w, idx) for w in stack]
+        assert got.shape == (len(stack), code.msg_space if idx is None else len(idx))
+        assert np.array_equal(got, np.array(rows).reshape(got.shape))
+
+
 # ---------------------------------------------------------------------------
 # decoding
 

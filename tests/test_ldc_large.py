@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from streamcode.gf import ERASE, GF, field_mul, mul_lut
-from streamcode.codes import repetition_code, doubly_extended_rs
+from streamcode.codes import codebook, repetition_code, doubly_extended_rs
 from streamcode.ldc_large import (
-    ConfidenceDist, LargeLdcParams, QueryLists, ResampleExhausted,
-    UniformQuerySpec, gen_qlists, ldc_large_encode, overlap_cap,
+    SCAN_CHUNK, ConfidenceDist, LargeLdcParams, QueryLists, ResampleExhausted,
+    UniformQuerySpec, decode_curves_large, gen_qlists, ldc_large_encode, overlap_cap,
     query_smoothness_check, sample_smooth_plan_large, smooth_local_decode_large,
     gather_syms,
 )
@@ -120,6 +120,48 @@ def test_smooth_garbage_gives_bot():
     dist = smooth_local_decode_large(w, 0, p, rng)
     sigma, mass, bot = dist.merged()
     assert sigma is None and bot == 1
+
+
+def decode_curve_one(p, word):
+    """The curve decode of one word by itself: argmin of its own scan row
+    (ties to the smallest message index), then the erasure-aware radius."""
+    cc = p.curve_code
+    d2 = codebook(cc).dist2_scan(word)
+    i = int(np.argmin(d2))
+    if Fraction(int(d2[i]), 2 * cc.code_len) > Fraction(1, 2) - p.eps / 2:
+        return None
+    return int(p.pack_tbl[i // p.F.q ** (cc.outer.msg_len - 1)]), int(d2[i])
+
+
+def test_batched_curve_decode_matches_one_word_decodes():
+    from streamcode.profiles import build_params, load_profile
+    p = build_params(load_profile("tensor-toy")).ldc
+    cc, cb = p.curve_code, codebook(p.curve_code)
+    top = p.F.q ** (cc.outer.msg_len - 1)
+    # a lightest codeword whose h(0) differs from the zero codeword's; erasing
+    # where the two differ leaves a word equally far from both
+    weights = cb.dist2_scan(np.zeros(cc.code_len, dtype=np.int32))
+    hi = top + int(np.argmin(weights[top:]))
+    assert p.pack_tbl[hi // top] != p.pack_tbl[0]
+    c1 = cc.encode(cb.msg_of_index(hi))
+    tie = np.where(c1 == 0, 0, ERASE)
+    erased = int(weights[hi]) // 2          # one dist2 unit per erasure
+    assert cb.dist2_scan(tie)[[0, hi]].tolist() == [erased] * 2
+    far = np.full(cc.code_len, ERASE)   # every codeword at relative distance 1/2
+    rng = np.random.default_rng(46)
+    words = [tie, far]
+    for _ in range(2 * SCAN_CHUNK + 5):
+        w = cc.encode(rng.integers(0, cc.field.q, cc.msg_len))
+        hit = rng.choice(cc.code_len, size=int(rng.integers(0, cc.code_len)), replace=False)
+        w[hit] = rng.integers(ERASE, cc.field.q, len(hit))
+        words.append(w)
+    words.insert(SCAN_CHUNK + 3, tie)   # the tie again, inside a later chunk
+    want = [decode_curve_one(p, w) for w in words]
+    assert want[0] == (int(p.pack_tbl[0]), erased)   # the tie goes to message 0
+    assert want[1] is None and None in want[2:] and want.count(None) < len(want) - 2
+    assert decode_curves_large(p, words) == want
+    assert decode_curves_large(p, np.array(words)) == want
+    assert decode_curves_large(p, []) == []
 
 
 def test_merging_rule_by_hand():
