@@ -140,13 +140,14 @@ def _walk_copy(stream: SymbolStream, L: int, num_blocks: int,
 
     deliveries: block -> [(array, start)] whole-block drops;
     singles: block -> [(array, slot, offset)] single-bit drops.
+    The targets are signed, so an erased bit arrives as ERASE.
     """
     needed = sorted(set(deliveries) | set(singles))
     cur = 0
     for blk in needed:
         if blk > cur:
             stream.skip((blk - cur) * L)
-        bits = stream.read_run(L).astype(np.uint8)
+        bits = stream.read_run(L)
         for target, start in deliveries.get(blk, ()):
             target[start:start + L] = bits
         for arr, slot, off in singles.get(blk, ()):
@@ -157,9 +158,9 @@ def _walk_copy(stream: SymbolStream, L: int, num_blocks: int,
 
 
 def _schedule(L: int, curve_lists: list):
-    """A zeroed buffer per curve (one list of curves per plan) and the
+    """A zeroed int8 buffer per curve (one list of curves per plan) and the
     block -> [(buffer, start)] deliveries that fill them from the stream."""
-    bufs = [[np.zeros(len(cv.positions), dtype=np.uint8) for cv in curves]
+    bufs = [[np.zeros(len(cv.positions), dtype=np.int8) for cv in curves]
             for curves in curve_lists]
     deliveries: dict = {}
     for row, curves in zip(bufs, curve_lists):

@@ -30,7 +30,8 @@ is what keeps the live-tuple count under cap^depth (cap = ceil(3 r Q^2 / R)).
 
 The desk-scale driver materializes the received word with a single in-order
 read and bounds the lockstep footprint through the structural live-tuple
-counter rather than a bit ledger.
+counter rather than a bit ledger.  The base table has no row for an erased
+bit, so a word holding an erasure raises ValueError instead of misreading.
 """
 
 from __future__ import annotations
@@ -360,6 +361,8 @@ def linear_dec_traced(params: TensorParams, stream: SymbolStream, ell_bits,
     query lists, base outcomes and level-1 nodes; per-instance coins."""
     d = params.depth
     word = np.asarray(stream.read_run(params.code_bits), dtype=np.int32)
+    if (word == ERASE).any():
+        raise ValueError("tensor decoding reads bits; the word holds an erasure")
     ell = lift_functional(params, ell_bits)
     qlists = {a: gen_qlists(params.ldc, rng) for a in range(d, 0, -1)}
     seeds = [rng.randrange(2 ** 63) for _ in range(params.instances)]

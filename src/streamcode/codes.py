@@ -23,16 +23,17 @@ Decoding entry points:
 - nearest_codeword_bruteforce / min_distance_bruteforce: exhaustive scans over
   a cached codebook.  These double as test oracles for everything else, so
   they stay deliberately simple.
-- unique_decode: within-half-distance decoding.  Concatenated codes with a
-  Reed-Solomon outer layer go through generalized-minimum-distance (GMD)
-  decoding: every block is decoded to its nearest inner codeword, and the
-  outer word of their symbols is checked against the outer parity-check
-  matrix.  A zero syndrome settles the decode at once: the message reads off
-  the outer word and its dist2 is the sum of the blocks' own distances.
-  Only a nonzero syndrome runs the erasure sweep, ordered by block
-  confidence, each step a Berlekamp-Welch errors-and-erasures solve whose
-  candidate is measured through the same block table.  Anything else small
-  enough falls back to the brute-force scan.
+- unique_decode: within-half-distance decoding, returning (message, dist2)
+  like the other two, or None.  Concatenated codes with a Reed-Solomon outer
+  layer go through generalized-minimum-distance (GMD) decoding: every block
+  is decoded to its nearest inner codeword, and the outer word of their
+  symbols is checked against the outer parity-check matrix.  A zero syndrome
+  settles the decode at once: the message reads off the outer word and its
+  dist2 is the sum of the blocks' own distances.  Only a nonzero syndrome
+  runs the erasure sweep, ordered by block confidence, each step a
+  Berlekamp-Welch errors-and-erasures solve whose candidate is measured
+  through the same block table.  Anything else small enough falls back to
+  the brute-force scan.
 - list_decode_concat: all codewords within a radius, by one codebook scan
   (block table plus per-group takes for concatenated codes; the codebook is
   capped at 2^20 messages by design).  The scan covers every message, or only
@@ -53,8 +54,7 @@ import numpy as np
 
 from .gf import (
     ERASE, GF, MODULI, FieldSpec, field_inv, field_mul, field_pow, gf_matvec,
-    mul_arrays, mul_lut, pack_symbols, poly_divmod, poly_eval,
-    poly_interpolate, unpack_symbol,
+    mul_arrays, mul_lut, pack_symbols, poly_divmod, poly_eval, unpack_symbol,
 )
 
 BRUTE_FORCE_LIMIT = 1 << 20  # largest message space we will ever enumerate
@@ -490,7 +490,7 @@ def min_distance_bruteforce(code: LinearCode) -> int:
 # unique decoding
 
 def unique_decode(code: LinearCode, w, radius2: int | None = None):
-    """The unique codeword within the radius, as a message, or None.
+    """(message, dist2) of the unique codeword within the radius, or None.
 
     radius2 is twice the absolute radius and defaults to just under half the
     declared minimum distance, where uniqueness is guaranteed.  Concatenated
@@ -505,8 +505,8 @@ def unique_decode(code: LinearCode, w, radius2: int | None = None):
             and code.inner.msg_space <= BRUTE_FORCE_LIMIT:
         return _gmd_decode(code, w, radius2)
     if code.msg_space <= BRUTE_FORCE_LIMIT:
-        msg, d2 = nearest_codeword_bruteforce(code, w)
-        return msg if d2 <= radius2 else None
+        got = nearest_codeword_bruteforce(code, w)
+        return got if got[1] <= radius2 else None
     raise ValueError("no decoding route: message space too large and no GMD structure")
 
 
@@ -568,14 +568,16 @@ def _gmd_decode(cc: ConcatCode, w, radius2: int):
     of their F-symbols.  If its syndrome is zero, it is the only outer
     codeword any sweep step could find, and the concatenated codeword it
     names is at dist2 best_d2.sum() (every block already sits on its nearest
-    inner word): return its message when that is inside radius2, else None.
-    Otherwise run the erasure sweep (_gmd_sweep).  GMD finds the codeword
-    whenever dist2(w, c) is below half the designed composite distance; we
-    return the first candidate inside radius2 (unique there by assumption).
+    inner word): return (message, dist2) when that is inside radius2, else
+    None.  Otherwise run the erasure sweep (_gmd_sweep).  GMD finds the
+    codeword whenever dist2(w, c) is below half the designed composite
+    distance; we return the first candidate inside radius2 (unique there by
+    assumption).
     """
     d2, syms, best_d2 = _gmd_inner(cc, w)
     if not cc.gmd.syndrome(syms).any():
-        return cc.gmd.message(syms) if int(best_d2.sum(dtype=np.int64)) <= radius2 else None
+        total = int(best_d2.sum(dtype=np.int64))
+        return (cc.gmd.message(syms), total) if total <= radius2 else None
     return _gmd_sweep(cc, d2, syms, best_d2, radius2)
 
 
@@ -583,7 +585,8 @@ def _gmd_sweep(cc: ConcatCode, d2, syms, best_d2, radius2: int):
     """The GMD erasure sweep over _gmd_inner's output: for erasure counts
     0..d_out-1, erase the least confident blocks, run a Berlekamp-Welch
     errors-and-erasures solve on the rest, and read each new candidate's
-    dist2 off the block table.  The first candidate inside radius2 wins."""
+    dist2 off the block table.  The first candidate inside radius2 wins, as
+    (message, dist2)."""
     F, g = cc.outer.field, cc.gmd
     n_blocks, k_rs = cc.num_blocks, cc.outer.msg_len
     xs_all = cc.outer.eval_points
@@ -598,8 +601,9 @@ def _gmd_sweep(cc: ConcatCode, d2, syms, best_d2, radius2: int):
             continue
         seen.add(tuple(h))
         word = gf_matvec(F, g.vander, h + [0] * (k_rs - len(h)))
-        if int(d2[blocks, g.index_of_sym[word]].sum(dtype=np.int64)) <= radius2:
-            return g.message(word)
+        total = int(d2[blocks, g.index_of_sym[word]].sum(dtype=np.int64))
+        if total <= radius2:
+            return g.message(word), total
     return None
 
 
@@ -610,12 +614,6 @@ def _bw_decode(F: FieldSpec, xs, ys, k_rs: int):
     if n < k_rs:
         return None
     e = (n - k_rs) // 2
-    if e == 0:
-        # interpolate on the first k_rs points and verify the rest
-        h = poly_interpolate(F, list(zip(xs[:k_rs], ys[:k_rs])))
-        if len(h) > k_rs:
-            return None
-        return h if all(poly_eval(F, h, x) == y for x, y in zip(xs, ys)) else None
     # unknowns: N (deg < k_rs + e), E (monic deg e): N(x) = y * E(x)
     ncols = (k_rs + e) + e
     A, b = [], []

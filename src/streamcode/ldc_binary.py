@@ -2,8 +2,9 @@
 F = GF(2^b) with K = GF(2), so each field symbol packs b message bits and a
 binary inner code re-encodes it.  Two local decoders read the core's curves:
 
-- smooth_local_decode: t_smooth curves, unique decoding per curve, and an
-  exact confidence pair (p0, p1) with p0 + p1 == 1 (Fractions throughout).
+- smooth_local_decode: t_smooth curves, unique decoding per curve (message
+  and dist2), and an exact confidence pair (p0, p1) with p0 + p1 == 1
+  (Fractions throughout).
 - decode_with_advice: t_advice iterations of higher-degree curves pinned at
   uncorrupted advice blocks, and a majority vote; raises AdviceMismatch when
   no iteration ever produces a unique candidate.  Each iteration list-decodes
@@ -27,7 +28,7 @@ import numpy as np
 
 from .gf import GF, FieldSpec, field_pow, mul_lut, poly_interpolate
 from .codes import (LinearCode, _rref, codebook, concat,
-                    list_decode_concat, rs_code, unique_decode, word_dist2)
+                    list_decode_concat, rs_code, unique_decode)
 from .ldc_core import (CurvePlan, RmLdc, SmoothPlan, curve_plan, encode, gather,
                        sample_smooth_plan)
 
@@ -121,28 +122,22 @@ class BinaryLdcParams(RmLdc):
 # ---------------------------------------------------------------------------
 # smooth local decoding
 
-def decode_curve_word(params: BinaryLdcParams, code: LinearCode, word):
-    """Unique-decode one curve restriction; (h coefficients, dist2) or None."""
-    msg = unique_decode(code, word)
-    if msg is None:
-        return None
-    return params.pack(msg).tolist(), word_dist2(word, code.encode(msg))
-
-
 def smooth_confidence_from_words(params: BinaryLdcParams, plan: SmoothPlan,
                                  words) -> Confidence:
-    """Fold per-curve unique decodings into the exact (p0, p1) pair."""
+    """Fold per-curve unique decodings into the exact (p0, p1) pair: a curve
+    decoded at relative distance delta weighs 1/2 - delta for the bit its h(0)
+    gives and delta for the other; a failed one weighs 1/4 for each."""
     t = params.t_smooth
     L = 2 * params.curve_code.code_len  # dist2 denominator
     acc = {0: Fraction(0), 1: Fraction(0)}
     for word in words:
-        got = decode_curve_word(params, params.curve_code, word)
+        got = unique_decode(params.curve_code, word)
         if got is None:
             acc[0] += Fraction(1, 4)
             acc[1] += Fraction(1, 4)
             continue
-        coeffs, d2 = got
-        bit = int(params.inner_words[coeffs[0], plan.offset])
+        msg, d2 = got
+        bit = int(params.inner_words[params.pack(msg[:params.e])[0], plan.offset])
         delta = Fraction(d2, L)
         acc[bit] += delta
         acc[1 - bit] += Fraction(1, 2) - delta

@@ -324,11 +324,11 @@ def test_c03_decoder_oracle_agreement():
         d2 = cb.dist2_scan(w)
         i = int(np.argmin(d2))
         got = unique_decode(cc, w)
+        if got is not None:
+            assert got[1] == word_dist2(w, cc.encode(got[0])) <= radius2
         if int(d2[i]) <= radius2:
-            assert got is not None and np.array_equal(got, cb.msg_of_index(i))
+            assert got is not None and np.array_equal(got[0], cb.msg_of_index(i))
             in_radius += 1
-        elif got is not None:
-            assert word_dist2(w, cc.encode(got)) <= radius2
 
     # erasure-bearing words, same agreement
     rng = random.Random(33)
@@ -339,7 +339,7 @@ def test_c03_decoder_oracle_agreement():
         i = int(np.argmin(d2))
         got = unique_decode(cc, w)
         if int(d2[i]) <= radius2:
-            assert got is not None and np.array_equal(got, cb.msg_of_index(i))
+            assert got is not None and np.array_equal(got[0], cb.msg_of_index(i))
 
     # list decoding complete against an independent enumeration
     eps = Fraction(1, 5)

@@ -8,13 +8,15 @@ accepted copies then finish the harvest.
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from streamcode.codec_repeat import (RepeatParams, dec_repeat, enc_repeat,
+from streamcode.codec_repeat import (RepeatParams, _schedule, _walk_copy,
+                                     dec_repeat, enc_repeat,
                                      errcount_property_probe)
-from streamcode.gf import GF
+from streamcode.gf import ERASE, GF
 from streamcode.codes import extended_hamming_code
 from streamcode.ldc_binary import BinaryLdcParams
 from streamcode.stream import MemoryLedger, SymbolStream
@@ -206,3 +208,17 @@ class TestReport:
         d = make_params().describe()
         assert d["copies"] == 8 and d["msg_bits"] == 12
         assert d["threshold_variant"] == "algorithm"
+
+
+def test_walk_copy_delivers_erasures():
+    """An erased bit reaches the curve buffers and the single-bit slots as
+    ERASE, so the decoders charge it one half instead of a whole flip."""
+    word = np.array([0, 1, 1, 0, 1, ERASE, 0, 1, 1, 1, 0, 0], dtype=np.int32)
+    curve = SimpleNamespace(positions=range(8), blocks=[1, 0])
+    [[buf]], deliveries = _schedule(4, [[curve]])
+    vals = np.zeros(2, dtype=np.int64)
+    stream = SymbolStream(word)
+    _walk_copy(stream, 4, 3, deliveries, {1: [(vals, 1, 1)]})
+    assert buf.tolist() == [1, ERASE, 0, 1, 0, 1, 1, 0]
+    assert vals.tolist() == [0, ERASE]
+    assert stream.cursor == len(word)

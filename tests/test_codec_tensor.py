@@ -7,10 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from streamcode.gf import GF, field_mul
+from streamcode.gf import ERASE, GF, field_mul
 from streamcode.codes import (LinearCode, codebook, doubly_extended_rs,
                               min_distance_bruteforce)
 from streamcode.ldc_large import LargeLdcParams, gen_qlists, ldc_large_encode
+from streamcode.profiles import build_params, load_profile
 from streamcode.stream import StreamExhausted, SymbolStream
 from streamcode.codec_tensor import (LinearFunctional, TensorParams,
                                      base_symbol_code, default_instances,
@@ -441,3 +442,13 @@ def test_linear_dec_short_stream_raises():
     with pytest.raises(StreamExhausted):
         linear_dec(P, SymbolStream(np.zeros(100, dtype=np.int32)),
                    np.zeros(16, dtype=np.int32), random.Random(0))
+
+
+def test_linear_dec_rejects_erased_bit():
+    """The base table is indexed by a block's bits; an erased bit would read
+    as a wrong block, so the decoder refuses the word instead."""
+    P = build_params(load_profile("tensor-small"))
+    cw = enc_linear(P, np.array([1, 0, 1, 1], dtype=np.int32))
+    cw[3] = ERASE
+    with pytest.raises(ValueError, match="erasure"):
+        linear_dec(P, SymbolStream(cw), np.ones(4, dtype=np.int32), random.Random(0))

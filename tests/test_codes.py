@@ -305,7 +305,8 @@ def test_unique_decode_bruteforce_route():
         for p in rng.sample(range(12), 2):
             w[p] ^= 1
         got = unique_decode(plain, w)
-        assert got is not None and np.array_equal(got, msg)
+        assert got is not None and np.array_equal(got[0], msg)
+        assert got[1] == word_dist2(w, plain.encode(got[0])) == 4
 
 
 def test_gmd_corrects_all_radius_error_patterns():
@@ -319,7 +320,7 @@ def test_gmd_corrects_all_radius_error_patterns():
         for p in pat:
             w[p] ^= 1
         got = unique_decode(cc, w)
-        assert got is not None and np.array_equal(got, msg), f"failed at {pat}"
+        assert got is not None and np.array_equal(got[0], msg), f"failed at {pat}"
 
 
 def test_gmd_agrees_with_bruteforce_oracle():
@@ -331,7 +332,7 @@ def test_gmd_agrees_with_bruteforce_oracle():
         got = unique_decode(cc, w)
         brute_msg, brute_d2 = nearest_codeword_bruteforce(cc, w)
         if brute_d2 <= radius2:
-            assert got is not None and np.array_equal(got, brute_msg)
+            assert got is not None and np.array_equal(got[0], brute_msg)
         else:
             assert got is None
 
@@ -344,7 +345,7 @@ def test_gmd_with_erasures():
     w[5] = ERASE
     w[7] ^= 1  # dist2 = 2*1 + 2 = 4 <= radius2 5
     got = unique_decode(cc, w)
-    assert got is not None and np.array_equal(got, msg)
+    assert got is not None and np.array_equal(got[0], msg)
 
 
 def _gmd_cases(code, rng, flips_beyond, radius2):
@@ -383,7 +384,8 @@ def _gmd_cases(code, rng, flips_beyond, radius2):
 def test_gmd_syndrome_first_matches_sweep(make, flips, radius2):
     """unique_decode equals the erasure sweep run on its own, and both find
     the sent message whenever it is within radius2 (below half the designed
-    distance, where GMD is guaranteed to)."""
+    distance, where GMD is guaranteed to), each with the dist2 of the word to
+    the codeword it returns."""
     code = make()
     assert radius2 <= (code.dist2_bound - 1) // 2
     rng = np.random.default_rng(code.code_len + flips)
@@ -392,26 +394,36 @@ def test_gmd_syndrome_first_matches_sweep(make, flips, radius2):
         assert code.gmd.syndrome(syms).any() == (kind == "nonzero")
         got = unique_decode(code, w, radius2)
         swept = _gmd_sweep(code, d2, syms, best_d2, radius2)
+        for found in (got, swept):
+            assert found is None or found[1] == word_dist2(w, code.encode(found[0]))
         if kind == "beyond":
             assert int(best_d2.sum()) == 2 * flips * code.num_blocks > radius2
             assert got is None and swept is None
         elif word_dist2(w, code.encode(msg)) <= radius2:
-            assert np.array_equal(got, msg) and np.array_equal(swept, msg)
+            assert np.array_equal(got[0], msg) and np.array_equal(swept[0], msg)
         else:
             assert kind == "nonzero" and (got is None) == (swept is None)
-            assert got is None or np.array_equal(got, swept)
+            assert got is None or (np.array_equal(got[0], swept[0]) and got[1] == swept[1])
 
 
-def test_berlekamp_welch_random_errors():
+@pytest.mark.parametrize("n", [7, 8, 15])
+def test_berlekamp_welch_random_errors(n):
+    """Up to (n - 7) // 2 errors decode to the sent polynomial of degree < 7;
+    at n = 8 one error is caught: no such polynomial meets 7 of the 8 points
+    but the sent one, which misses the eighth."""
     rng = random.Random(31)
-    xs = list(range(15))
+    xs = list(range(n))
+    e = (n - 7) // 2
     for trial in range(40):
         coeffs = [rng.randrange(16) for _ in range(7)]
         ys = [poly_eval(GF16, coeffs, x) for x in xs]
-        n_err = trial % 5  # up to (15-7)/2 = 4
-        for p in rng.sample(range(15), n_err):
+        n_err = trial % 2 if n == 8 else trial % (e + 1)  # n = 15: up to 4
+        for p in rng.sample(range(n), n_err):
             ys[p] ^= rng.randrange(1, 16)
         h = _bw_decode(GF16, xs, ys, 7)
+        if n_err > e:
+            assert h is None
+            continue
         assert h is not None
         assert all(poly_eval(GF16, h, x) == poly_eval(GF16, coeffs, x) for x in xs)
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from streamcode.gf import GF, pack_symbols, poly_eval
 from streamcode.codes import (codebook, extended_hamming_code, list_decode_concat,
-                              replicate, simplex_code)
+                              replicate, simplex_code, unique_decode)
 from streamcode.ldc_binary import (
     AdviceMismatch, BinaryLdcParams, advice_coset, advice_symbols,
     asymptotic_regime, decode_advice_from_words, decode_with_advice,
@@ -70,10 +70,9 @@ def test_curve_restriction_is_curve_codeword():
         plan = sample_smooth_plan(p, i, rng)
         for curve in plan.curves:
             word = gather(w, curve.positions)
-            from streamcode.ldc_binary import decode_curve_word
-            got = decode_curve_word(p, p.curve_code, word)
+            got = unique_decode(p.curve_code, word)
             assert got is not None
-            coeffs, d2 = got
+            coeffs, d2 = p.pack(got[0]).tolist(), got[1]
             assert d2 == 0
             for lam, blk in zip(p.nonzero_points, curve.blocks):
                 assert poly_eval(p.F, coeffs, lam) == int(evals[blk])
