@@ -6,14 +6,14 @@ K-symbol with a small binary code (one block of N_inner bits per symbol,
 blocks in lexicographic tuple order).
 
 The decoder computes one K-linear functional of the message from the
-(possibly corrupted) stream.  recurse_linear works on a tuple T of block
-indices: at the base it reads the block's shared outcome, a symbol sigma
-kept with probability 1 - 2*delta(block, encoding of sigma) by one coin
-drawn before any instance runs (_decode_base_blocks); at level a it
-restricts the functional to each first-axis message index i, recursively
-evaluates the children queried by that index's smooth-decoding plan, runs the
-confidence decoder over the returned values, and returns sigma_1 + ... + sigma_r
-with probability min_i p_i (anything else is ⊥).
+(possibly corrupted) stream.  A base block's outcome is a symbol sigma kept
+with probability 1 - 2*delta(block, encoding of sigma) by one coin drawn
+before any instance runs (_decode_base_blocks).  recurse_linear works on a
+tuple T of block indices at level a >= 1: it restricts the functional to
+each first-axis message index i, evaluates the children queried by that
+index's smooth-decoding plan (base outcomes at level 1, recursive calls
+above), runs the confidence decoder over the returned values, and returns
+sigma_1 + ... + sigma_r with probability min_i p_i (anything else is ⊥).
 
 Sharing discipline across the parallel instances of linear_dec:
   - base blocks: one decode and one acceptance coin, cached per block tuple —
@@ -44,7 +44,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf import ERASE, GF, FieldSpec, field_mul, mul_lut, pack_symbols
+from .gf import ERASE, GF, FieldSpec, mul_lut, pack_symbols
 from .codes import (LinearCode, block_dist2, codebook, concat, repetition_code,
                     symbol_words)
 from .ldc_large import (LargeLdcParams, confidence_from_decoded,
@@ -72,11 +72,6 @@ class LinearFunctional:
         sub = len(self.coeffs) // r
         return LinearFunctional(self.K, self.coeffs[i * sub:(i + 1) * sub],
                                 self.path + (i,))
-
-    @property
-    def scalar(self) -> int:
-        assert len(self.coeffs) == 1
-        return int(self.coeffs[0])
 
 
 def base_symbol_code(K: FieldSpec) -> LinearCode:
@@ -260,23 +255,15 @@ def _decode_base_blocks(params: TensorParams, word, keys, rng) -> dict:
 
 
 def recurse_linear(params: TensorParams, a: int, T: tuple,
-                   ell: LinearFunctional, qlists: dict, rng,
-                   base_cache: dict, node_cache: dict):
+                   ell: LinearFunctional, qlists: dict, rng, node_cache: dict):
     """Value of the functional ell on the message behind block tuple T, or
-    None (⊥).  a is the remaining depth; qlists maps each remaining depth to
-    its per-index query lists; base_cache holds the shared outcome of every
-    base block the lists reach (see _decode_base_blocks) and node_cache the
-    (value, p) of level-1 nodes (see _fill_level1, which fills a missing one)."""
-    if a == 0:
-        out = base_cache[T]
-        return None if out is None else field_mul(params.K, ell.scalar, out)
+    None (⊥).  a >= 1 is the remaining depth; qlists maps each remaining depth
+    to its per-index query lists; node_cache holds the (value, p) of every
+    level-1 node the lists reach (see _fill_level1)."""
     if a == 1:
-        key = (T, ell.path)
-        if key not in node_cache:
-            _fill_level1(params, [(T, ell)], qlists, base_cache, node_cache)
-        value, p = node_cache[key]
+        value, p = node_cache[T, ell.path]
     else:
-        value, p = _node_value(params, a, T, ell, qlists, rng, base_cache, node_cache)
+        value, p = _node_value(params, a, T, ell, qlists, rng, node_cache)
     if value is None:
         return None
     return value if _coin(rng, p) else None
@@ -295,13 +282,13 @@ def _fold(merged) -> tuple:
 
 
 def _node_value(params: TensorParams, a: int, T: tuple, ell: LinearFunctional,
-                qlists: dict, rng, base_cache: dict, node_cache: dict):
+                qlists: dict, rng, node_cache: dict):
     """(value, p) of a node above level 1 before its acceptance coin; its
     children draw their coins index by index, up to the first ⊥ index."""
     def merged(i):
         ql, child_ell = qlists[a], ell.restrict(i, params.r)
         values = {j: recurse_linear(params, a - 1, T + (j,), child_ell, qlists, rng,
-                                    base_cache, node_cache)
+                                    node_cache)
                   for j in sorted({int(p) for p in ql.lists[i]})}
         words = [[ERASE if values[j] is None else values[j] for j in cv.positions]
                  for cv in ql.plans[i].curves]
@@ -390,7 +377,7 @@ def linear_dec_traced(params: TensorParams, stream: SymbolStream, ell_bits,
     votes, bots = [], 0
     for seed in seeds:
         inst_rng = random.Random(seed)
-        val = recurse_linear(params, d, (), ell, qlists, inst_rng, base_cache, node_cache)
+        val = recurse_linear(params, d, (), ell, qlists, inst_rng, node_cache)
         bots += val is None
         votes.append(inst_rng.randrange(2) if val is None else val & 1)
     bit = 1 if sum(votes) * 2 > len(votes) else 0

@@ -30,18 +30,21 @@ Decoding entry points:
   symbols is checked against the outer parity-check matrix.  A zero syndrome
   settles the decode at once: the message reads off the outer word and its
   dist2 is the sum of the blocks' own distances.  Only a nonzero syndrome
-  runs the erasure sweep, ordered by block confidence, each step a
-  Berlekamp-Welch errors-and-erasures solve whose candidate is measured
-  through the same block table.  Anything else small enough falls back to
-  the brute-force scan.
+  runs the erasure sweep, ordered by block confidence.  Each step is a
+  Berlekamp-Welch errors-and-erasures decode of the kept blocks: one
+  elimination finds the error locator E, a second interpolates the outer
+  polynomial through the kept points off the roots of E, and the candidate
+  is measured through the same block table.  Anything else small enough
+  falls back to the brute-force scan.
 - list_decode_concat: all codewords within a radius, by one codebook scan
   (block table plus per-group takes for concatenated codes; the codebook is
   capped at 2^20 messages by design).  The scan covers every message, or only
   the message indices the caller passes, as the advice decoder does with the
   coset its advice pins; both go through the same takes and threshold.
 
-Linear algebra over the field (make_systematic, gf_solve, validate, and
-ldc_binary's advice coset) is one Gauss-Jordan elimination, _rref.
+Linear algebra over the field (make_systematic, gf_solve, validate, both
+Berlekamp-Welch solves, and ldc_binary's advice coset) is one Gauss-Jordan
+elimination, _rref; its power tables come from gf.powers.
 """
 
 from __future__ import annotations
@@ -53,8 +56,8 @@ from functools import cached_property
 import numpy as np
 
 from .gf import (
-    ERASE, GF, MODULI, FieldSpec, field_inv, field_mul, field_pow, gf_matvec,
-    mul_arrays, mul_lut, pack_symbols, poly_divmod, poly_eval, unpack_symbol,
+    ERASE, GF, MODULI, FieldSpec, field_inv, gf_matvec, mul_arrays, mul_lut,
+    pack_symbols, powers, unpack_symbol,
 )
 
 BRUTE_FORCE_LIMIT = 1 << 20  # largest message space we will ever enumerate
@@ -185,8 +188,10 @@ def _rref(K: FieldSpec, M) -> tuple:
         nz = np.flatnonzero(R[r:, c])
         if not len(nz):
             continue
-        R[[r, r + nz[0]]] = R[[r + nz[0], r]]
-        R[r] = mul_lut(K, field_inv(K, int(R[r, c])))[R[r]]
+        if nz[0]:   # the swap and the scaling are skipped where they are no-ops
+            R[[r, r + nz[0]]] = R[[r + nz[0], r]]
+        if R[r, c] != 1:
+            R[r] = mul_lut(K, field_inv(K, int(R[r, c])))[R[r]]
         f = R[:, c].copy()
         f[r] = 0
         rows = np.flatnonzero(f)
@@ -218,12 +223,9 @@ def rs_code(F: FieldSpec, eval_points, degree_bound: int) -> LinearCode:
         raise ValueError("evaluation points must be distinct")
     if not 1 <= degree_bound <= len(pts):
         raise ValueError("need 1 <= degree_bound <= number of points")
-    gen = np.zeros((len(pts), degree_bound), dtype=np.int32)
-    for i, x in enumerate(pts):
-        for j in range(degree_bound):
-            gen[i, j] = field_pow(F, x, j)
     # MDS: distance is exactly n - k + 1
-    code = LinearCode(F, gen, kind="rs", dist2_bound=2 * (len(pts) - degree_bound + 1))
+    code = LinearCode(F, powers(F, pts, degree_bound), kind="rs",
+                      dist2_bound=2 * (len(pts) - degree_bound + 1))
     code.eval_points = tuple(pts)
     return code
 
@@ -255,12 +257,12 @@ def rm_code(F: FieldSpec, m: int, d: int) -> LinearCode:
     coords = np.stack([(idx // q ** (m - 1 - a)) % q for a in range(m)], axis=1).astype(np.int32)
     monos = rm_monomials(m, d)
     cols = []
-    pow_lut = {e: np.array([field_pow(F, x, e) for x in range(q)], dtype=np.int32) for e in range(d + 1)}
+    pow_lut = powers(F, range(q), d + 1)
     for es in monos:
         col = np.ones(n_pts, dtype=np.int32)
         for a, e in enumerate(es):
             if e:
-                col = mul_arrays(F, col, pow_lut[e][coords[:, a]])
+                col = mul_arrays(F, col, pow_lut[coords[:, a], e])
         cols.append(col)
     gen = np.stack(cols, axis=1)
     code = LinearCode(F, gen, kind="rm", dist2_bound=2 * (q - d) * q ** (m - 1))
@@ -520,9 +522,9 @@ class GmdTables:
     H @ word == 0.  The outer message reads back from the word's symbols at
     the pivots of gen.T through `rec`, the inverse of the generator's rows
     there; that holds for every full-rank outer generator, systematic or not.
-    vander evaluates a polynomial of degree < k at every outer evaluation
-    point: it is the outer generator itself for a plain RS code, and is built
-    apart only for a systematized one."""
+    powers is the (n, n) table of x^j at the outer evaluation points: its
+    first k columns evaluate a polynomial of degree < k there, and its rows
+    are what Berlekamp-Welch reads for the points it keeps."""
 
     def __init__(self, cc: ConcatCode):
         F, K, outer = cc.outer.field, cc.inner.field, cc.outer
@@ -540,8 +542,7 @@ class GmdTables:
         self.H[:, pivots] = R[:, free].T
         self.pivots = pivots
         self.rec = _rref(F, np.hstack([outer.gen[pivots], np.eye(k, dtype=np.int32)]))[0][:, k:]
-        self.vander = (outer.gen if outer.systematic_positions is None
-                       else rs_code(F, outer.eval_points, k).gen)
+        self.powers = powers(F, outer.eval_points, n)
 
     def syndrome(self, word: np.ndarray) -> np.ndarray:
         return np.bitwise_xor.reduce(mul_arrays(self.F, self.H, word[None, :]), axis=1)
@@ -583,55 +584,48 @@ def _gmd_decode(cc: ConcatCode, w, radius2: int):
 
 def _gmd_sweep(cc: ConcatCode, d2, syms, best_d2, radius2: int):
     """The GMD erasure sweep over _gmd_inner's output: for erasure counts
-    0..d_out-1, erase the least confident blocks, run a Berlekamp-Welch
-    errors-and-erasures solve on the rest, and read each new candidate's
-    dist2 off the block table.  The first candidate inside radius2 wins, as
-    (message, dist2)."""
+    0..d_out-1, erase the least confident blocks, run Berlekamp-Welch on the
+    rest, and read each new candidate's dist2 off the block table.  The first
+    candidate inside radius2 wins, as (message, dist2)."""
     F, g = cc.outer.field, cc.gmd
     n_blocks, k_rs = cc.num_blocks, cc.outer.msg_len
-    xs_all = cc.outer.eval_points
     blocks = np.arange(n_blocks)
     order = np.argsort(-best_d2, kind="stable")  # least confident first
     seen = set()
     for n_erase in range(0, n_blocks - k_rs + 1):
-        erased = set(order[:n_erase].tolist())
-        kept = [p for p in range(n_blocks) if p not in erased]
-        h = _bw_decode(F, [xs_all[p] for p in kept], [int(syms[p]) for p in kept], k_rs)
+        kept = np.sort(order[n_erase:])
+        h = _bw_decode(F, g.powers[kept], syms[kept], k_rs)
         if h is None or tuple(h) in seen:
             continue
         seen.add(tuple(h))
-        word = gf_matvec(F, g.vander, h + [0] * (k_rs - len(h)))
+        word = gf_matvec(F, g.powers[:, :k_rs], h)
         total = int(d2[blocks, g.index_of_sym[word]].sum(dtype=np.int64))
         if total <= radius2:
             return g.message(word), total
     return None
 
 
-def _bw_decode(F: FieldSpec, xs, ys, k_rs: int):
-    """Berlekamp-Welch: the polynomial of degree < k_rs agreeing with all but
-    at most (len(xs) - k_rs) // 2 of the (x, y) pairs, or None."""
-    n = len(xs)
+def _bw_decode(F: FieldSpec, P, ys, k_rs: int):
+    """Berlekamp-Welch: the coefficients of the polynomial of degree < k_rs
+    agreeing with all but at most e = (len(P) - k_rs) // 2 of the points, or
+    None.  Row i of P holds x_i^0, x_i^1, ... (at least k_rs + e columns).
+
+    One solve finds N (degree < k_rs + e) and a monic E (degree e) with
+    N(x_i) = y_i E(x_i).  When some h is within e disagreements, N = h E, so
+    at the n - e >= k_rs points where E(x_i) != 0 every y_i is h(x_i), and a
+    second solve interpolates h through them.  Conversely any h that second
+    solve returns agrees with those points, so it is within e of the word."""
+    n = len(P)
     if n < k_rs:
         return None
     e = (n - k_rs) // 2
-    # unknowns: N (deg < k_rs + e), E (monic deg e): N(x) = y * E(x)
-    ncols = (k_rs + e) + e
-    A, b = [], []
-    for x, y in zip(xs, ys):
-        row = [field_pow(F, x, j) for j in range(k_rs + e)]
-        row += [field_mul(F, y, field_pow(F, x, i)) for i in range(e)]
-        A.append(row)
-        b.append(field_mul(F, y, field_pow(F, x, e)))
-    sol = gf_solve(F, A, b)
+    ys = np.asarray(ys)
+    sol = gf_solve(F, np.hstack([P[:, :k_rs + e], mul_arrays(F, ys[:, None], P[:, :e])]),
+                   mul_arrays(F, ys, P[:, e]))
     if sol is None:
         return None
-    N = sol[:k_rs + e]
-    E = sol[k_rs + e:] + [1]  # monic
-    h, rem = poly_divmod(F, N, E)
-    if rem or len(h) > k_rs:
-        return None
-    agree = sum(1 for x, y in zip(xs, ys) if poly_eval(F, h, x) == y)
-    return h if agree >= n - e else None
+    off_roots = gf_matvec(F, P[:, :e + 1], sol[k_rs + e:] + [1]) != 0
+    return gf_solve(F, P[off_roots, :k_rs], ys[off_roots])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ words and generator matrices mean the same thing everywhere.
 
 Each field keeps log/exp tables for a fixed primitive element, which makes
 single multiplications O(1) and lets the linear-algebra layer build per-scalar
-numpy lookup tables (see mul_lut).
+numpy lookup tables (see mul_lut).  Every table of powers x^j over a field
+(Vandermonde and Reed-Solomon generators, Reed-Muller monomials, curve
+parameters) comes from powers.
 
 Words over a field may carry erasures; those are represented by ERASE (-1)
 and are never valid operands for the arithmetic here.
@@ -181,6 +183,16 @@ def mul_arrays(K: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return exp[log[np.asarray(a)] + log[np.asarray(b)]]
 
 
+def powers(K: FieldSpec, xs, n: int) -> np.ndarray:
+    """(len(xs), n) table of x^j for each x in xs and j < n (0^0 = 1), as
+    intp: most of these tables are indexes into other tables."""
+    xs = np.asarray(xs, dtype=np.intp)
+    out = np.ones((len(xs), n), dtype=np.intp)
+    for j in range(1, n):
+        out[:, j] = mul_arrays(K, out[:, j - 1], xs)
+    return out
+
+
 def gf_matvec(K: FieldSpec, gen: np.ndarray, msg) -> np.ndarray:
     """gen @ msg over GF(2^k).  gen is (M, m) int, msg length m."""
     out = np.zeros(gen.shape[0], dtype=np.int32)
@@ -228,22 +240,6 @@ def poly_eval(K: FieldSpec, p, x: int) -> int:
     for c in reversed(list(p)):
         acc = field_mul(K, acc, x) ^ c
     return acc
-
-
-def poly_divmod(K: FieldSpec, num, den):
-    num = list(poly_trim(num))
-    den = poly_trim(den)
-    if not den:
-        raise ZeroDivisionError("division by zero polynomial")
-    out = [0] * max(0, len(num) - len(den) + 1)
-    inv_lead = field_inv(K, den[-1])
-    for i in range(len(num) - len(den), -1, -1):
-        c = field_mul(K, num[i + len(den) - 1], inv_lead)
-        out[i] = c
-        if c:
-            for j, d in enumerate(den):
-                num[i + j] ^= field_mul(K, c, d)
-    return poly_trim(out), poly_trim(num)
 
 
 def poly_interpolate(K: FieldSpec, points):

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gf import GF, FieldSpec, field_pow, mul_lut, poly_interpolate
+from .gf import GF, FieldSpec, mul_lut, poly_interpolate, powers
 from .codes import (LinearCode, _rref, codebook, concat,
                     list_decode_concat, rs_code, unique_decode)
 from .ldc_core import (CurvePlan, RmLdc, SmoothPlan, curve_plan, encode, gather,
@@ -208,8 +208,7 @@ def advice_coset(params: BinaryLdcParams, nodes, syms) -> np.ndarray:
     coefficients are c + A h_free for every free assignment."""
     F, ka = params.F, params.k_adv
     k = params.advice_code.outer.msg_len
-    V = [[field_pow(F, lam, j) for j in range(k)] for lam in nodes]
-    R = _rref(F, np.column_stack([V, syms]))[0]
+    R = _rref(F, np.column_stack([powers(F, nodes, k), syms]))[0]
     free = params.advice_grid
     h = np.empty((len(free), k), dtype=np.int64)
     h[:, ka:] = free

@@ -22,12 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .codes import concat, make_systematic, pack_table, rm_code, rs_code
-from .gf import GF, field_pow, mul_lut
+from .gf import mul_lut, powers
 
 
 class RmLdc:
@@ -52,6 +51,8 @@ class RmLdc:
         self.pack_tbl = pack_table(self.K, self.F)
         self._digit_weights = self.K.q ** np.arange(self.e - 1, -1, -1, dtype=np.int64)
         self.inner_words = self.curve_code.inner_words   # (q_F, L)
+        # row j: lambda^j over the nonzero lambdas, for curve coefficients j < q
+        self.powers = np.ascontiguousarray(powers(self.F, self.nonzero_points, self.F.q).T)
 
     # -- derived sizes ------------------------------------------------------
 
@@ -157,13 +158,6 @@ class SmoothPlan:
         return np.concatenate([c.positions for c in self.curves])
 
 
-@lru_cache(maxsize=None)
-def _powers(k: int, j: int) -> np.ndarray:
-    """lambda^j for lambda = 1..q-1 over GF(2^k)."""
-    F = GF(k)
-    return np.array([field_pow(F, lam, j) for lam in range(1, F.q)], dtype=np.int64)
-
-
 def curve_plan(params: RmLdc, coord_polys) -> CurvePlan:
     """Blocks and positions of the curve lambda -> (c_a(lambda))_a, one
     coefficient list per coordinate, over the nonzero lambdas."""
@@ -173,7 +167,7 @@ def curve_plan(params: RmLdc, coord_polys) -> CurvePlan:
         c = np.zeros(F.q - 1, dtype=np.int64)
         for j, coef in enumerate(poly):
             if coef:
-                c ^= mul_lut(F, coef)[_powers(F.k, j)]
+                c ^= mul_lut(F, coef)[params.powers[j]]
         coords.append(c)
     blocks = params.point_index(coords)
     return CurvePlan(blocks.tolist(), params.block_positions(blocks))

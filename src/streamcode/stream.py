@@ -13,8 +13,9 @@ serialize_state, the canonical encoding defined here).  Exceeding the budget
 is recorded as a violation, not raised — a run report should show the breach.
 
 Stream files: magic "SCS1", kind byte (0 bits / 1 symbols), field-degree
-byte, little-endian u32 length, then the payload — bits packed LSB-first,
-symbols as fixed-width little-endian integers with q encoding an erasure.
+byte (0 for bits, a key of MODULI for symbols), little-endian u32 length,
+then exactly the payload — bits packed LSB-first, symbols as fixed-width
+little-endian integers with q encoding an erasure.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf import ERASE
+from .gf import ERASE, MODULI
 
 MAGIC = b"SCS1"
 
@@ -190,9 +191,12 @@ def _ser(obj, out: bytearray):
 
 def write_stream_file(path, word, field_k: int = 0):
     """field_k == 0 writes a bit stream; otherwise symbols over GF(2^k),
-    erasures allowed (stored as the out-of-range value q).  Values outside
-    the alphabet raise ValueError before anything is written."""
+    erasures allowed (stored as the out-of-range value q).  A field_k with no
+    pinned modulus, or values outside the alphabet, raise ValueError before
+    anything is written."""
     word = np.asarray(word)
+    if field_k != 0 and field_k not in MODULI:
+        raise ValueError(f"no modulus pinned for field_k={field_k}")
     if field_k == 0:
         if ((word < 0) | (word > 1)).any():
             raise ValueError("bit stream values must be 0/1")
@@ -209,23 +213,24 @@ def write_stream_file(path, word, field_k: int = 0):
 
 
 def read_stream_file(path):
-    """-> (word, field_k); bits give field_k == 0.  A payload shorter than
-    the declared length raises ValueError."""
+    """-> (word, field_k); bits give field_k == 0.  A short header, a kind or
+    field byte write_stream_file never writes, or a payload of any size but
+    the declared length's raises ValueError."""
     with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise ValueError("not a stream file")
-        kind, field_k = fh.read(2)
-        (n,) = struct.unpack("<I", fh.read(4))
-        payload = fh.read()
+        raw = fh.read()
+    if len(raw) < 10 or raw[:4] != MAGIC:
+        raise ValueError("not a stream file (bad magic or short header)")
+    kind, field_k, payload = raw[4], raw[5], raw[10:]
+    (n,) = struct.unpack("<I", raw[6:10])
+    if not ((kind, field_k) == (0, 0) or (kind == 1 and field_k in MODULI)):
+        raise ValueError(f"bad stream header: kind {kind}, field_k {field_k}")
+    width = (field_k + 8) // 8
+    if len(payload) != (-(-n // 8) if kind == 0 else n * width):
+        raise ValueError(f"payload of {len(payload)} bytes does not hold {n} symbols")
     if kind == 0:
-        vals = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")
-    else:
-        vals = np.frombuffer(payload, dtype=f"<u{(field_k + 8) // 8}")
-    if len(vals) < n:
-        raise ValueError(f"truncated stream file: {len(vals)} of {n} symbols")
-    vals = vals[:n].astype(np.int32)
-    if kind == 0:
-        return vals, 0
+        bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")
+        return bits[:n].astype(np.int32), 0
+    vals = np.frombuffer(payload, dtype=f"<u{width}").astype(np.int32)
     q = 1 << field_k
     if (vals > q).any():
         raise ValueError(f"symbol out of range for GF(2^{field_k})")

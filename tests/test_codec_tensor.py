@@ -10,7 +10,8 @@ import pytest
 from streamcode.gf import ERASE, GF, field_mul
 from streamcode.codes import (LinearCode, codebook, doubly_extended_rs,
                               min_distance_bruteforce)
-from streamcode.ldc_large import LargeLdcParams, gen_qlists, ldc_large_encode
+from streamcode.ldc_large import (LargeLdcParams, confidence_from_words_large, gen_qlists,
+                                  ldc_large_encode)
 from streamcode.profiles import build_params, load_profile
 from streamcode.stream import StreamExhausted, SymbolStream
 from streamcode.codec_tensor import (LinearFunctional, TensorParams,
@@ -20,7 +21,7 @@ from streamcode.codec_tensor import (LinearFunctional, TensorParams,
                                      linear_dec_traced, recurse_linear,
                                      tensor_encode, tensor_regime,
                                      _base_tables, _coin, _decode_base_blocks,
-                                     _symbol_bit_words)
+                                     _fill_level1, _fold, _symbol_bit_words)
 
 GF4 = GF(2)
 
@@ -83,7 +84,7 @@ def test_linear_functional_restrict():
     assert sub.path == (2,)
     leaf = sub.restrict(1, 4)
     assert leaf.path == (2, 1)
-    assert leaf.scalar == (9 % 4)
+    assert leaf.coeffs.tolist() == [9 % 4]
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +262,21 @@ def test_base_outcome_two_flips_half_acceptance():
     assert 0.43 < len(kept) / trials < 0.57      # true acceptance rate is exactly 1/2
 
 
+def reference_level1(P, T, ell, qlists, base_cache):
+    """(value, p) of a level-1 node, one curve scan per index, each curve word
+    read off base_cache (⊥ as an erasure) and scaled by the index's coefficient."""
+    def merged(i):
+        c, plan = int(ell.coeffs[i]), qlists[1].plans[i]
+        outs = [[base_cache[T + (j,)] for j in cv.positions] for cv in plan.curves]
+        words = [[ERASE if o is None else field_mul(P.K, c, o) for o in out] for out in outs]
+        return confidence_from_words_large(P.ldc, plan, words).merged()[:2]
+    return _fold(merged(i) for i in range(P.r))
+
+
 def test_base_outcome_shared_across_rngs():
+    """Base outcomes are drawn once; _fill_level1 reads them (⊥ as an erasure)
+    into the level-1 nodes, and every instance then sees the same node value,
+    drawing nothing but its own acceptance coin."""
     P = toy_params()
     words = _symbol_bit_words(P)
     blocks = {}
@@ -270,17 +285,23 @@ def test_base_outcome_shared_across_rngs():
         blk[t % 8] ^= 1
         blk[(t + 3) % 8] ^= 1
         blocks[(0, t)] = blk
-    keys = list(blocks)
-    cache = _decode_base_blocks(P, word_with_blocks(P, blocks), keys, random.Random(1))
-    outs_a = [cache[k] for k in keys]
-    # every instance reads the shared outcome at depth 0 and draws no coin
-    rng_b = random.Random(2)
-    state = rng_b.getstate()
-    one = LinearFunctional(P.K, [1])
-    outs_b = [recurse_linear(P, 0, k, one, {}, rng_b, cache, {}) for k in keys]
-    assert outs_a == outs_b
-    assert rng_b.getstate() == state
-    assert any(o is None for o in outs_a) and any(o is not None for o in outs_a)
+    rng = random.Random(1)
+    cache = _decode_base_blocks(P, word_with_blocks(P, blocks), [(0, j) for j in range(P.R)], rng)
+    qlists = {a: gen_qlists(P.ldc, rng) for a in (2, 1)}
+    heads = {int(p) for lst in qlists[1].lists for p in lst}
+    assert {cache[0, j] is None for j in heads} == {True, False}
+    ell = lift_functional(P, np.arange(16) % 3 == 1)
+    nodes = [((0,), ell.restrict(i, P.r)) for i in range(P.r)]
+    node_cache = {}
+    _fill_level1(P, nodes, qlists, cache, node_cache)
+    for T, f in nodes:
+        value, p = node_cache[T, f.path]
+        assert (value, p) == reference_level1(P, T, f, qlists, cache)
+        for seed in range(4):
+            inst = random.Random(seed)
+            state = inst.getstate()
+            assert recurse_linear(P, 1, T, f, qlists, inst, node_cache) in (None, value)
+            assert (inst.getstate() == state) == (value is None or not 0 < p < 1)
 
 
 def reference_base_blocks(P, word, keys, rng):
@@ -349,8 +370,9 @@ def test_recurse_depth_one_small_instance_uncorrupted():
         ql = {1: gen_qlists(ldc, rng)}
         keys = [(j,) for j in sorted({int(p) for lst in ql[1].lists for p in lst})]
         base = _decode_base_blocks(P, cw, keys, rng)
-        got = recurse_linear(P, 1, (), lift_functional(P, ell_bits), ql,
-                             rng, base, {})
+        ell, node_cache = lift_functional(P, ell_bits), {}
+        _fill_level1(P, [((), ell)], ql, base, node_cache)
+        got = recurse_linear(P, 1, (), ell, ql, rng, node_cache)
         truth = functional_dot(ell_bits, x)
         if got is not None and got & 1 == truth:
             correct += 1

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamcode.gf import ERASE, GF, field_mul, pack_symbols, poly_eval
+from streamcode.gf import ERASE, GF, field_mul, mul_arrays, pack_symbols, poly_eval, powers
 from streamcode.codes import (
     ConcatCode, LinearCode, _bw_decode, _gmd_inner, _gmd_sweep, codebook, concat,
     doubly_extended_rs, ecc_eps, extended_hamming_code, list_decode_concat, make_systematic,
@@ -420,7 +420,7 @@ def test_berlekamp_welch_random_errors(n):
         n_err = trial % 2 if n == 8 else trial % (e + 1)  # n = 15: up to 4
         for p in rng.sample(range(n), n_err):
             ys[p] ^= rng.randrange(1, 16)
-        h = _bw_decode(GF16, xs, ys, 7)
+        h = _bw_decode(GF16, powers(GF16, xs, n), ys, 7)
         if n_err > e:
             assert h is None
             continue
@@ -434,13 +434,45 @@ def test_berlekamp_welch_rejects_garbage():
     rejected = 0
     for _ in range(20):
         ys = [rng.randrange(16) for _ in range(15)]
-        h = _bw_decode(GF16, xs, ys, 3)
+        h = _bw_decode(GF16, powers(GF16, xs, 15), ys, 3)
         if h is None:
             rejected += 1
         else:
             agree = sum(1 for x, y in zip(xs, ys) if poly_eval(GF16, h, x) == y)
             assert agree >= 15 - 6
     assert rejected >= 15  # random words are far from every low-degree poly
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_berlekamp_welch_matches_exhaustive_search_on_point_subsets(k):
+    """On random subsets of GF(16) (as the erasure sweep passes them), with
+    errors, Berlekamp-Welch returns the one polynomial of degree < k within
+    (n - k) // 2 disagreements, found by trying all 16^k, or None exactly
+    when no polynomial is that close."""
+    rng = random.Random(43 + k)
+    every = np.array([[(i // 16 ** (k - 1 - j)) % 16 for j in range(k)]
+                      for i in range(16 ** k)], dtype=np.int32)
+    outcomes = {"found_through_errors": 0, "none": 0}
+    for _ in range(300):
+        n = rng.randint(k, 16)
+        xs = sorted(rng.sample(range(16), n))
+        P = powers(GF16, xs, 16)
+        e = (n - k) // 2
+        sent = every[rng.randrange(len(every))]
+        ys = np.bitwise_xor.reduce(mul_arrays(GF16, P[:, :k], sent), axis=1)
+        for p in rng.sample(range(n), rng.randint(0, min(n, 2 * e + 2))):
+            ys[p] ^= rng.randrange(1, 16)
+        evals = np.bitwise_xor.reduce(mul_arrays(GF16, every[:, None, :], P[None, :, :k]), axis=2)
+        close = np.flatnonzero((evals != ys).sum(axis=1) <= e)
+        assert len(close) <= 1   # two such polynomials would agree on n - 2e >= k points
+        h = _bw_decode(GF16, P, ys.tolist(), k)
+        if not len(close):
+            assert h is None
+            outcomes["none"] += 1
+            continue
+        assert h == every[close[0]].tolist()
+        outcomes["found_through_errors"] += bool((evals[close[0]] != ys).any())
+    assert min(outcomes.values()) >= 30   # both branches and real errors exercised
 
 
 def test_list_decode_matches_direct_enumeration():

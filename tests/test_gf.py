@@ -14,8 +14,8 @@ from hypothesis import given, strategies as st
 from streamcode.gf import (
     ERASE, GF, MODULI, elem_from_hex, elem_to_hex, embed, field_add,
     field_generator, field_inv, field_mul, field_pow, gf_matvec,
-    pack_symbols, poly_add, poly_divmod, poly_eval,
-    poly_interpolate, poly_mul, unpack_symbol, word_from_hex, word_to_hex,
+    pack_symbols, poly_eval, poly_interpolate, poly_mul, powers,
+    unpack_symbol, word_from_hex, word_to_hex,
 )
 
 ALL_K = sorted(MODULI)
@@ -117,7 +117,7 @@ def test_interpolate_roundtrip_gf16():
         assert all(poly_eval(K, q, x) == poly_eval(K, p, x) for x in range(16))
 
 
-def test_poly_mul_divmod():
+def test_poly_mul():
     K = GF(4)
     rng = random.Random(9)
     for _ in range(40):
@@ -125,9 +125,22 @@ def test_poly_mul_divmod():
         b = [rng.randrange(16) for _ in range(rng.randint(1, 4))]
         if not any(b):
             b[-1] = 1
-        quot, rem = poly_divmod(K, poly_mul(K, a, b), b)
-        # a*b / b == a exactly
-        assert poly_add(K, quot, a) == [] and rem == []
+        ab = poly_mul(K, a, b)
+        # degree < 16, so the values at all 16 points pin a*b down exactly
+        assert len(ab) <= len(a) + len(b) - 1 and (not ab or ab[-1])
+        assert all(poly_eval(K, ab, x) == field_mul(K, poly_eval(K, a, x), poly_eval(K, b, x))
+                   for x in range(16))
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_powers_table(k):
+    K = GF(k)
+    xs = list(range(K.q))
+    tbl = powers(K, xs, 6)
+    assert tbl.shape == (K.q, 6)
+    assert tbl.tolist() == [[field_pow(K, x, j) for j in range(6)] for x in xs]
+    assert tbl[0].tolist() == [1, 0, 0, 0, 0, 0]   # 0^0 = 1
+    assert powers(K, [], 3).shape == (0, 3) and powers(K, xs, 0).shape == (K.q, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,57 @@ def test_stream_file_truncated_bits(tmp_path):
         read_stream_file(path)
 
 
+def _header(kind, field_k, n):
+    return b"SCS1" + bytes([kind, field_k]) + n.to_bytes(4, "little")
+
+
+def _rejected(path, raw):
+    path.write_bytes(raw)
+    with pytest.raises(ValueError):
+        read_stream_file(path)
+
+
+def test_stream_file_rejects_unknown_kind(tmp_path):
+    _rejected(tmp_path / "k7.scs", _header(7, 4, 2) + bytes([3, 5]))
+
+
+def test_stream_file_rejects_symbols_without_field(tmp_path):
+    # read as one-byte "symbols" of GF(2^0), 1 would come back as ERASE
+    _rejected(tmp_path / "k1f0.scs", _header(1, 0, 2) + bytes([0, 1]))
+
+
+def test_stream_file_rejects_field_without_modulus(tmp_path):
+    assert 5 not in MODULI
+    _rejected(tmp_path / "k1f5.scs", _header(1, 5, 2) + bytes([3, 5]))
+
+
+def test_stream_file_rejects_bits_with_field_byte(tmp_path):
+    _rejected(tmp_path / "k0f4.scs", _header(0, 4, 8) + bytes([0b1101]))
+
+
+@pytest.mark.parametrize("field_k", [0, 4, 8])
+def test_stream_file_rejects_trailing_bytes(tmp_path, field_k):
+    path = tmp_path / "long.scs"
+    write_stream_file(path, np.arange(9) % 2, field_k)
+    read_stream_file(path)
+    _rejected(path, path.read_bytes() + bytes(2))   # a whole two-byte symbol at k = 8
+
+
+def test_stream_file_rejects_short_header(tmp_path):
+    path = tmp_path / "cut.scs"
+    write_stream_file(path, np.arange(9) % 2, 0)
+    raw = path.read_bytes()
+    for cut in range(10):
+        _rejected(path, raw[:cut])
+
+
+def test_stream_file_write_rejects_unpinned_field(tmp_path):
+    for field_k in (5, 13, -1):
+        with pytest.raises(ValueError):
+            write_stream_file(tmp_path / "bad.scs", np.array([1, 0]), field_k)
+        assert not (tmp_path / "bad.scs").exists()
+
+
 @settings(max_examples=200, deadline=None)
 @given(field_k=st.sampled_from([0] + sorted(MODULI)), data=st.data())
 def test_stream_file_roundtrip_property(field_k, data):
