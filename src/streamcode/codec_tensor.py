@@ -24,7 +24,10 @@ Sharing discipline across the parallel instances of linear_dec:
     (_fill_level1): their distinct curve words, keyed by (T, child index,
     curve, coefficient), go through one batched curve scan.  Every instance
     still draws its own acceptance coin on a node;
-  - levels above 1 (and the roots): fully per-instance, coins included.
+  - levels above 1 (and the roots): fully per-instance, coins included;
+    the instances walk the root together, index by index, so each index's
+    curve words from every instance still alive go through one scan
+    (_node_values), while each instance draws its coins from its own rng.
 Query lists are generated once per level and reused by all instances, which
 is what keeps the live-tuple count under cap^depth (cap = ceil(3 r Q^2 / R)).
 
@@ -44,13 +47,17 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import ldc_large
 from .gf import ERASE, GF, FieldSpec, mul_lut, pack_symbols
 from .codes import (LinearCode, block_dist2, codebook, concat, repetition_code,
                     symbol_words)
-from .ldc_large import (LargeLdcParams, confidence_from_decoded,
-                        confidence_from_words_large, decode_curves_large,
+from .ldc_large import (LargeLdcParams, confidence_from_decoded, decode_curves_large,
                         gen_qlists, overlap_cap)
 from .stream import SymbolStream
+
+# Not called here: every curve word goes through decode_curves_large.  The
+# name stays bound because bench/tracing.py patches it on this module.
+confidence_from_words_large = ldc_large.confidence_from_words_large
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +270,7 @@ def recurse_linear(params: TensorParams, a: int, T: tuple,
     if a == 1:
         value, p = node_cache[T, ell.path]
     else:
-        value, p = _node_value(params, a, T, ell, qlists, rng, node_cache)
+        (value, p), = _node_values(params, a, T, ell, qlists, [rng], node_cache)
     if value is None:
         return None
     return value if _coin(rng, p) else None
@@ -281,25 +288,39 @@ def _fold(merged) -> tuple:
     return total, p_min
 
 
-def _node_value(params: TensorParams, a: int, T: tuple, ell: LinearFunctional,
-                qlists: dict, rng, node_cache: dict):
-    """(value, p) of a node above level 1 before its acceptance coin; its
-    children draw their coins index by index, up to the first ⊥ index."""
-    def merged(i):
-        ql, child_ell = qlists[a], ell.restrict(i, params.r)
-        values = {j: recurse_linear(params, a - 1, T + (j,), child_ell, qlists, rng,
-                                    node_cache)
-                  for j in sorted({int(p) for p in ql.lists[i]})}
-        words = [[ERASE if values[j] is None else values[j] for j in cv.positions]
-                 for cv in ql.plans[i].curves]
-        return confidence_from_words_large(params.ldc, ql.plans[i], words).merged()[:2]
-    return _fold(merged(i) for i in range(params.r))
+def _node_values(params: TensorParams, a: int, T: tuple, ell: LinearFunctional,
+                 qlists: dict, rngs: list, node_cache: dict) -> list:
+    """(value, p) of a node above level 1 before its acceptance coin, once per
+    instance rng in rngs.  Index by index, each instance with no ⊥ index yet
+    draws its children's coins from its own rng, in the order one instance
+    alone would, and one decode_curves_large call scans all their curve
+    words; an instance stops at its first ⊥ index."""
+    ql, r = qlists[a], params.r
+    out = [(0, Fraction(1))] * len(rngs)
+    live = list(range(len(rngs)))
+    for i in range(r):
+        child_ell, plan = ell.restrict(i, r), ql.plans[i]
+        heads = sorted({int(p) for p in ql.lists[i]})
+        words = []
+        for n in live:
+            values = {j: recurse_linear(params, a - 1, T + (j,), child_ell, qlists, rngs[n],
+                                        node_cache) for j in heads}
+            words += [[ERASE if values[j] is None else values[j] for j in cv.positions]
+                      for cv in plan.curves]
+        decoded, c = decode_curves_large(params.ldc, words), len(plan.curves)
+        for s, n in enumerate(live):
+            got = decoded[s * c:(s + 1) * c]
+            sigma, p = confidence_from_decoded(params.ldc, plan, got).merged()[:2]
+            total, p_min = out[n]
+            out[n] = (None, Fraction(0)) if sigma is None else (total ^ sigma, min(p_min, p))
+        live = [n for n in live if out[n][0] is not None]
+    return out
 
 
 def _fill_level1(params: TensorParams, nodes: list, qlists: dict,
                  base_cache: dict, node_cache: dict):
     """node_cache[(T, ell.path)] = (value, p) for every level-1 node (T, ell),
-    folded as _node_value folds, with the nodes' distinct curve words (one
+    folded as _node_values folds, with the nodes' distinct curve words (one
     per (T, child index, curve, coefficient)) decoded by one batched scan.
     Level 1 draws no coins, so an index past a ⊥ one only costs a scan."""
     K, plans = params.K, qlists[1].plans
@@ -374,10 +395,13 @@ def linear_dec_traced(params: TensorParams, stream: SymbolStream, ell_bits,
                  for i in range(params.r) for j in sorted({int(p) for p in qlists[a].lists[i]})]
     node_cache: dict = {}
     _fill_level1(params, nodes, qlists, base_cache, node_cache)
+    # the instances walk the root together, so each index's words share one scan
+    rngs = [random.Random(seed) for seed in seeds]
+    roots = (_node_values(params, d, (), ell, qlists, rngs, node_cache) if d > 1
+             else [node_cache[(), ell.path]] * len(rngs))
     votes, bots = [], 0
-    for seed in seeds:
-        inst_rng = random.Random(seed)
-        val = recurse_linear(params, d, (), ell, qlists, inst_rng, node_cache)
+    for inst_rng, (value, p) in zip(rngs, roots):
+        val = value if value is not None and _coin(inst_rng, p) else None
         bots += val is None
         votes.append(inst_rng.randrange(2) if val is None else val & 1)
     bit = 1 if sum(votes) * 2 > len(votes) else 0

@@ -14,8 +14,8 @@ is recorded as a violation, not raised — a run report should show the breach.
 
 Stream files: magic "SCS1", kind byte (0 bits / 1 symbols), field-degree
 byte (0 for bits, a key of MODULI for symbols), little-endian u32 length,
-then exactly the payload — bits packed LSB-first, symbols as fixed-width
-little-endian integers with q encoding an erasure.
+then exactly the payload — bits packed LSB-first with zero padding,
+symbols as fixed-width little-endian integers with q encoding an erasure.
 """
 
 from __future__ import annotations
@@ -214,8 +214,9 @@ def write_stream_file(path, word, field_k: int = 0):
 
 def read_stream_file(path):
     """-> (word, field_k); bits give field_k == 0.  A short header, a kind or
-    field byte write_stream_file never writes, or a payload of any size but
-    the declared length's raises ValueError."""
+    field byte write_stream_file never writes, a payload of any size but the
+    declared length's, or a set padding bit in a bit stream's last byte
+    raises ValueError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 10 or raw[:4] != MAGIC:
@@ -229,6 +230,8 @@ def read_stream_file(path):
         raise ValueError(f"payload of {len(payload)} bytes does not hold {n} symbols")
     if kind == 0:
         bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")
+        if bits[n:].any():
+            raise ValueError("nonzero padding bits after the last bit")
         return bits[:n].astype(np.int32), 0
     vals = np.frombuffer(payload, dtype=f"<u{width}").astype(np.int32)
     q = 1 << field_k

@@ -1,5 +1,6 @@
 """Channel strategies: budget truncation, determinism, charge accounting,
-the declared alphabet, and bit-exact binary outputs."""
+the declared alphabet, bit-exact outputs, and sampling that matches
+random.Random draw for draw."""
 
 import hashlib
 import random
@@ -7,10 +8,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from streamcode.channel import (AttackStrategy, ErrorBudget, corrupt,
-                                corruption_dist2)
+from streamcode.channel import (AttackStrategy, ErrorBudget, _draws_below,
+                                _sample, corrupt, corruption_dist2)
 from streamcode.gf import ERASE, MODULI
 
 
@@ -221,6 +222,27 @@ def test_binary_outputs_bit_exact(name, opts, pre, digest, charged2, next_bits):
     assert rng.getrandbits(32) == next_bits
 
 
+# Symbol words, pinned the same way (SHA-256 of the output as little-endian
+# int32, final charged2, next 32 rng bits) on the code before sampling
+# replayed the rng's MT19937 stream: both take sample's set branch.
+SYMBOL_PINS = [
+    ("uniform", 8, np.int32, "ead24ce1201dc4be5642a07f8f5f0250bf9389aabc9fa0a8f6c0ac1f741c4f89", 1000, 3970963613),
+    ("erasure_mix", 4, np.int16, "7179a4e26d54ecd1ba8541c30eba86dce3b51dc9de9cc69f1bd52f845500e81f", 1000, 3927586338),
+]
+
+
+@pytest.mark.parametrize("name,field_k,dtype,digest,charged2,next_bits", SYMBOL_PINS)
+def test_symbol_outputs_bit_exact(name, field_k, dtype, digest, charged2, next_bits):
+    word = np.random.default_rng(2024).integers(0, 1 << field_k, size=10_000).astype(dtype)
+    b = ErrorBudget(Fraction(1, 20), len(word))
+    rng = random.Random(f"pin:{name}:gf{field_k}")
+    out = corrupt(word, AttackStrategy(name), b, rng, field_k)
+    got = hashlib.sha256(np.ascontiguousarray(out, dtype="<i4").tobytes())
+    assert got.hexdigest() == digest
+    assert b.charged2 == charged2
+    assert rng.getrandbits(32) == next_bits
+
+
 STRATEGY_NAMES = ["uniform", "burst", "copy_kill", "blockzero", "erasure_mix"]
 
 
@@ -266,3 +288,78 @@ def test_corrupt_contract(field_k, name, m, rho, pre_share, seed, copy_len,
     assert subs + int(erased.sum()) / 2 <= b.limit  # an erasure counts half
     assert corruption_dist2(word, out) == b.charged2 - pre
     assert b.charged2 <= b.limit2
+
+
+# _sample replays random.Random's MT19937 stream in numpy; these tests compare
+# it with CPython's own sample and randrange, so a CPython release that changes
+# either one fails here rather than silently changing the channel's outputs.
+BIT_EDGES = [2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1]
+
+
+@st.composite
+def sample_shapes(draw):
+    n = draw(st.one_of(st.integers(1, 400), st.integers(400, 3_000_000),
+                       st.sampled_from(BIT_EDGES)))
+    k = draw(st.one_of(st.integers(0, min(n, 2_000)), st.just(min(n, 2_000))))
+    return n, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=sample_shapes(), seed=st.integers(0, 2**32 - 1),
+       skip=st.integers(0, 700))
+@example(shape=(1, 1), seed=0, skip=0)
+@example(shape=(1, 0), seed=0, skip=0)
+@example(shape=(300, 300), seed=1, skip=0)
+@example(shape=(1000, 0), seed=2, skip=0)
+@example(shape=(2_211_840, 110_592), seed=3, skip=5)  # repeat-toy's uniform shape
+@example(shape=(2**32 - 1, 1_000), seed=4, skip=623)
+@example(shape=(2**32, 50), seed=5, skip=1)
+@example(shape=(10_000, 500), seed=196, skip=0)  # the first bulk draw falls short
+@example(shape=(21, 5), seed=6, skip=0)  # sample's setsize is 21 for k <= 5 ...
+@example(shape=(22, 5), seed=6, skip=0)
+@example(shape=(50, 6), seed=7, skip=0)  # ... and 21 + 4**3 for k = 6
+@example(shape=(85, 6), seed=7, skip=0)
+@example(shape=(86, 6), seed=7, skip=0)
+@example(shape=(4_117, 1_000), seed=8, skip=0)  # 21 + 4**6
+@example(shape=(4_118, 1_000), seed=8, skip=0)
+def test_sample_matches_random_sample(shape, seed, skip):
+    n, k = shape
+    want_rng, got_rng = random.Random(seed), random.Random(seed)
+    want_rng.getrandbits(32 * skip)  # start at any position in the key
+    got_rng.getrandbits(32 * skip)
+    want = want_rng.sample(range(n), k)
+    got = _sample(got_rng, n, k)
+    assert got.dtype == np.intp and got.tolist() == want
+    assert got_rng.getstate() == want_rng.getstate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_k=st.sampled_from(sorted(MODULI)), count=st.integers(0, 3_000),
+       seed=st.integers(0, 2**32 - 1))
+@example(field_k=2, count=3_000, seed=54)  # the first bulk draw falls short
+@example(field_k=3, count=3_000, seed=217)
+def test_symbol_draws_match_randrange(field_k, count, seed):
+    q = 1 << field_k
+    want_rng, got_rng = random.Random(seed), random.Random(seed)
+    want = [want_rng.randrange(1, q) for _ in range(count)]
+    got = 1 + _draws_below(got_rng, q - 1, count, distinct=False)
+    assert got.tolist() == want
+    assert got_rng.getstate() == want_rng.getstate()
+
+
+class CountingRandom(random.Random):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.samples = 0
+
+    def sample(self, population, k, **kw):
+        self.samples += 1
+        return super().sample(population, k, **kw)
+
+
+def test_sample_subclass_falls_back_to_rng_sample():
+    rng, ref = CountingRandom(6), random.Random(6)
+    got = _sample(rng, 2_211_840, 5_000)  # the set branch, replayed for a plain Random
+    assert rng.samples == 1
+    assert got.tolist() == ref.sample(range(2_211_840), 5_000)
+    assert rng.getstate() == ref.getstate()

@@ -1,6 +1,7 @@
 """Tensor codec: axis encoding identities, base-layer coin behavior, the
 recursive functional decoder, and the end-to-end majority vote."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -21,7 +22,8 @@ from streamcode.codec_tensor import (LinearFunctional, TensorParams,
                                      linear_dec_traced, recurse_linear,
                                      tensor_encode, tensor_regime,
                                      _base_tables, _coin, _decode_base_blocks,
-                                     _fill_level1, _fold, _symbol_bit_words)
+                                     _fill_level1, _fold, _node_values,
+                                     _symbol_bit_words)
 
 GF4 = GF(2)
 
@@ -377,6 +379,44 @@ def test_recurse_depth_one_small_instance_uncorrupted():
         if got is not None and got & 1 == truth:
             correct += 1
     assert correct == 60        # uncorrupted evaluation is exact
+
+
+def reference_node(P, a, T, ell, qlists, rng, node_cache):
+    """(value, p) of one instance's node above level 1: per index, its
+    children's coins, then one curve scan of that instance's words alone."""
+    def merged(i):
+        ql, child = qlists[a], ell.restrict(i, P.r)
+        values = {j: recurse_linear(P, a - 1, T + (j,), child, qlists, rng, node_cache)
+                  for j in sorted({int(p) for p in ql.lists[i]})}
+        words = [[ERASE if values[j] is None else values[j] for j in cv.positions]
+                 for cv in ql.plans[i].curves]
+        return confidence_from_words_large(P.ldc, ql.plans[i], words).merged()[:2]
+    return _fold(merged(i) for i in range(P.r))
+
+
+def test_root_instances_stacked_match_one_at_a_time():
+    """Stacking the instances' root words into one scan per index changes no
+    instance's (value, p) and no instance rng's draws, ⊥ instances included."""
+    P = toy_params()
+    nrng = np.random.default_rng(2)
+    x, ell_bits = rand_bits(nrng, 16), rand_bits(nrng, 16)
+    word = enc_linear(P, x)
+    word[nrng.choice(len(word), len(word) // 4, replace=False)] ^= 1
+    rng = random.Random(2)
+    qlists = {a: gen_qlists(P.ldc, rng) for a in (2, 1)}
+    needed = [sorted({int(p) for lst in qlists[a].lists for p in lst}) for a in (2, 1)]
+    base = _decode_base_blocks(P, word, list(itertools.product(*needed)), rng)
+    ell, node_cache = lift_functional(P, ell_bits), {}
+    nodes = [((j,), ell.restrict(i, P.r)) for i in range(P.r)
+             for j in sorted({int(p) for p in qlists[2].lists[i]})]
+    _fill_level1(P, nodes, qlists, base, node_cache)
+    stacked = [random.Random(seed) for seed in range(40)]
+    got = _node_values(P, 2, (), ell, qlists, stacked, node_cache)
+    assert 0 < sum(value is None for value, _ in got) < 40
+    for seed, inst in enumerate(stacked):
+        alone = random.Random(seed)
+        assert got[seed] == reference_node(P, 2, (), ell, qlists, alone, node_cache)
+        assert inst.getstate() == alone.getstate()
 
 
 def test_linear_dec_small_instance_roundtrip():

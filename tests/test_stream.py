@@ -190,6 +190,16 @@ def test_stream_file_rejects_trailing_bytes(tmp_path, field_k):
     _rejected(path, path.read_bytes() + bytes(2))   # a whole two-byte symbol at k = 8
 
 
+def test_stream_file_rejects_set_padding_bits(tmp_path):
+    # the 9-bit file's last byte holds one bit; its seven padding bits must be 0
+    path = tmp_path / "pad.scs"
+    write_stream_file(path, np.array([1, 0, 1, 1, 0, 0, 0, 0, 1]), 0)
+    raw = bytearray(path.read_bytes())
+    assert raw[-1] == 0b00000001
+    raw[-1] |= 0b10000000
+    _rejected(path, bytes(raw))
+
+
 def test_stream_file_rejects_short_header(tmp_path):
     path = tmp_path / "cut.scs"
     write_stream_file(path, np.arange(9) % 2, 0)
