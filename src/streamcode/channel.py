@@ -34,7 +34,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import word_dist2
 from .gf import ERASE
 
 
@@ -188,6 +187,3 @@ def _draws_below(rng: random.Random, n: int, k: int, distinct: bool) -> np.ndarr
     idx = idx[:k]
     rng.getrandbits(32 * (int(idx[-1]) + 1))
     return vals[idx].astype(np.intp)
-
-
-corruption_dist2 = word_dist2  # dist2 between the clean and the corrupted word

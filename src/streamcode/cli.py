@@ -20,10 +20,10 @@ from fractions import Fraction
 import numpy as np
 
 from .gf import GF, word_from_hex
-from .codes import min_distance_bruteforce
+from .codes import min_distance_bruteforce, word_dist2
 from .stream import (MemoryLedger, OutOfOrderWrite, StreamExhausted,
                      SymbolStream, read_stream_file, write_stream_file)
-from .channel import AttackStrategy, ErrorBudget, corrupt, corruption_dist2
+from .channel import AttackStrategy, ErrorBudget, corrupt
 from .ldc_large import ResampleExhausted
 from .codec_repeat import (dec_repeat, enc_repeat, errcount_property_probe)
 from .codec_tensor import (enc_linear, functional_dot, linear_dec_traced)
@@ -188,7 +188,7 @@ def cmd_corrupt(args) -> int:
     _write_report({"profile": prof, "strategy": strategy.name,
                    "rho": rho, "limit": budget.limit,
                    "changed": int((word != bad).sum()),
-                   "dist2": corruption_dist2(word, bad),
+                   "dist2": word_dist2(word, bad),
                    "out": args.outfile}, None)
     return 0
 
@@ -203,17 +203,11 @@ def _repeat_trial(prof, params, seed, trial):
     rho, _, _ = channel_spec(prof)
     strategy, budget = _attack(prof, params, rho, len(word))
     bad = corrupt(word, strategy, budget, _chan_rng(seed, trial, "chan"))
-    N = params.ldc.code_len
-    errors_per_copy = [corruption_dist2(word[c * N:(c + 1) * N],
-                                        bad[c * N:(c + 1) * N])
-                       for c in range(params.copies)]
-    res = dec_repeat(params, SymbolStream(bad), _chan_rng(seed, trial, "dec"),
-                     collect_trace=True)
+    errors_per_copy = (word != bad).reshape(params.copies, -1).sum(axis=1).tolist()
+    res = dec_repeat(params, SymbolStream(bad), _chan_rng(seed, trial, "dec"))
     ok = bool(res.success and res.message is not None
               and np.array_equal(res.message, x))
-    trace = dict(res.trace)
-    trace["errors_per_copy"] = errors_per_copy
-    probe = errcount_property_probe(params, trace)
+    probe = errcount_property_probe(params, res.settled_after, errors_per_copy)
     return {
         "trial": trial,
         "success": ok,
@@ -223,7 +217,7 @@ def _repeat_trial(prof, params, seed, trial):
         "budget_ok": not res.ledger.exceeded,
         "advice_failures": res.advice_failures,
         "probe_violations": len(probe),
-        "planted_dist2": corruption_dist2(word, bad),
+        "planted_dist2": word_dist2(word, bad),
     }, res.ledger.exceeded
 
 
@@ -243,7 +237,7 @@ def _tensor_trial(prof, params, seed, trial):
         "bot_instances": diag["bot_instances"],
         "live_ok": diag["live_ok"],
         "live_max": diag["live_max"],
-        "planted_dist2": corruption_dist2(word, bad),
+        "planted_dist2": word_dist2(word, bad),
     }, not diag["live_ok"]
 
 

@@ -19,7 +19,7 @@ Encoding tiles the base encoding k times.  The decoder runs two phases:
 The stream is consumed strictly left to right (gaps are skipped, never
 re-read), output bits are written to the tape in index order, and the
 persistent state is measured through the canonical serializer at every copy
-boundary, after plan and buffer allocation, when it is largest.
+boundary, when largest: the plans and a zeroed stand-in for their blocks.
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ from fractions import Fraction
 import numpy as np
 
 from .ldc_binary import (AdviceMismatch, BinaryLdcParams,
-                         decode_advice_from_words, ldc_encode, sample_advice,
+                         decode_advice_from_words, sample_advice,
                          sample_advice_plan, sample_smooth_plan,
                          smooth_confidence_from_words)
+from .ldc_core import encode
 from .stream import (MemoryLedger, OutputTape, StreamExhausted, SymbolStream,
                      state_size_bits)
 
@@ -103,7 +104,7 @@ def enc_repeat(params: RepeatParams, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.int32)
     if len(x) != params.msg_bits:
         raise ValueError(f"message must have {params.msg_bits} bits")
-    return np.tile(ldc_encode(params.ldc, x), params.copies)
+    return np.tile(encode(params.ldc, x), params.copies)
 
 
 @dataclass
@@ -117,7 +118,6 @@ class RepeatResult:
     advice_failures: int
     stream_exhausted: bool
     ledger: MemoryLedger
-    trace: dict | None = None
 
     def report(self) -> dict:
         return {
@@ -134,45 +134,26 @@ class RepeatResult:
         }
 
 
-def _walk_copy(stream: SymbolStream, L: int, num_blocks: int,
-               deliveries: dict, singles: dict):
-    """Advance the stream over exactly one copy, reading only needed blocks.
-
-    deliveries: block -> [(array, start)] whole-block drops;
-    singles: block -> [(array, slot, offset)] single-bit drops.
-    The targets are signed, so an erased bit arrives as ERASE.
-    """
-    needed = sorted(set(deliveries) | set(singles))
+def _read_copy(stream: SymbolStream, L: int, num_blocks: int, blocks) -> np.ndarray:
+    """Advance the stream over exactly one copy, reading only the blocks in
+    `blocks`: each run of consecutive needed blocks with one read, the gaps
+    and the tail skipped.  Holds one row per distinct needed block, never the
+    whole copy, and returns the rows gathered to shape blocks.shape + (L,) as
+    int8, so an erased bit arrives as ERASE."""
+    needed, inverse = np.unique(blocks, return_inverse=True)
+    rows = np.empty((len(needed), L), dtype=np.int8)
+    starts = np.flatnonzero(np.diff(needed, prepend=-2) != 1).tolist()
     cur = 0
-    for blk in needed:
-        if blk > cur:
-            stream.skip((blk - cur) * L)
-        bits = stream.read_run(L)
-        for target, start in deliveries.get(blk, ()):
-            target[start:start + L] = bits
-        for arr, slot, off in singles.get(blk, ()):
-            arr[slot] = bits[off]
-        cur = blk + 1
-    if cur < num_blocks:
-        stream.skip((num_blocks - cur) * L)
-
-
-def _schedule(L: int, curve_lists: list):
-    """A zeroed int8 buffer per curve (one list of curves per plan) and the
-    block -> [(buffer, start)] deliveries that fill them from the stream."""
-    bufs = [[np.zeros(len(cv.positions), dtype=np.int8) for cv in curves]
-            for curves in curve_lists]
-    deliveries: dict = {}
-    for row, curves in zip(bufs, curve_lists):
-        for buf, cv in zip(row, curves):
-            for s, blk in enumerate(cv.blocks):
-                deliveries.setdefault(blk, []).append((buf, s * L))
-    return bufs, deliveries
+    for lo, hi in zip(starts, starts[1:] + [len(needed)]):
+        stream.skip((int(needed[lo]) - cur) * L)
+        rows[lo:hi] = stream.read_run((hi - lo) * L).reshape(hi - lo, L)
+        cur = int(needed[hi - 1]) + 1
+    stream.skip((num_blocks - cur) * L)
+    return rows[inverse.reshape(blocks.shape)]
 
 
 def dec_repeat(params: RepeatParams, stream: SymbolStream, rng,
-               ledger: MemoryLedger | None = None,
-               collect_trace: bool = False) -> RepeatResult:
+               ledger: MemoryLedger | None = None) -> RepeatResult:
     ldc = params.ldc
     L, NB, N = ldc.block_len, ldc.num_blocks, ldc.code_len
     u = ldc.advice_size
@@ -184,6 +165,7 @@ def dec_repeat(params: RepeatParams, stream: SymbolStream, rng,
     trackers = list(adv.positions) + checks
     T = len(trackers)
     tracker_arr = np.array(trackers, dtype=np.int64)
+    check_blocks, check_offs = np.divmod(checks, L)
 
     p_acc = [[Fraction(0), Fraction(0)] for _ in range(T)]
     settled = None
@@ -191,7 +173,6 @@ def dec_repeat(params: RepeatParams, stream: SymbolStream, rng,
     tape = OutputTape()
     next_bit = 0
     per_copy = []
-    p_history = [] if collect_trace else None
     advice_failures = 0
     exhausted = False
     copies_used = 0
@@ -203,31 +184,30 @@ def dec_repeat(params: RepeatParams, stream: SymbolStream, rng,
             # ---- phase 1: refresh every tracker on this copy
             plans = [sample_smooth_plan(ldc, pos, rng, index="codeword")
                      for pos in trackers]
-            bufs, deliveries = _schedule(L, [pl.curves for pl in plans])
+            blocks = np.array([[cv.blocks for cv in pl.curves] for pl in plans],
+                              dtype=np.int64)
             state = {
                 "copy": ell,
                 "next": next_bit,
                 "trackers": tracker_arr,
                 "p": [f for pair in p_acc for f in pair],
                 "offsets": np.array([pl.offset for pl in plans], dtype=np.int64),
-                "plan_blocks": np.array([b for pl in plans for cv in pl.curves
-                                         for b in cv.blocks], dtype=np.int64),
-                "bufs": np.concatenate([b for row in bufs for b in row]),
+                "plan_blocks": blocks,
+                "bufs": np.zeros(blocks.size * L, dtype=np.int8),
             }
             ledger.checkpoint(state_size_bits(state), label=f"copy{ell}/track")
             try:
-                _walk_copy(stream, L, NB, deliveries, {})
+                words = _read_copy(stream, L, NB, blocks).reshape(T, ldc.t_smooth, -1)
             except StreamExhausted:
                 exhausted = True
                 break
             for ti in range(T):
-                conf = smooth_confidence_from_words(ldc, plans[ti], bufs[ti])
+                conf = smooth_confidence_from_words(ldc, plans[ti], words[ti])
                 p_acc[ti][0] += conf.p0
                 p_acc[ti][1] += conf.p1
+            del words  # kept through the next copy's read, it grows the heap
             copies_used = ell + 1
             per_copy.append({"phase": 1})
-            if p_history is not None:
-                p_history.append([tuple(pair) for pair in p_acc])
             if all(max(pair) > params.settle_threshold for pair in p_acc):
                 settled = np.array([1 if pair[1] > pair[0] else 0
                                     for pair in p_acc], dtype=np.uint8)
@@ -238,12 +218,8 @@ def dec_repeat(params: RepeatParams, stream: SymbolStream, rng,
                                  min(next_bit + params.r_out, params.msg_bits)))
             plans = [sample_advice_plan(ldc, i, adv, rng, index="message")
                      for i in pending]
-            bufs, deliveries = _schedule(L, [pl.iterations for pl in plans])
-            check_vals = np.full(params.v, -1, dtype=np.int64)
-            singles: dict = {}
-            for t, pos in enumerate(checks):
-                blk, off = divmod(pos, L)
-                singles.setdefault(blk, []).append((check_vals, t, off))
+            blocks = np.array([[it.blocks for it in pl.iterations] for pl in plans],
+                              dtype=np.int64)
             state = {
                 "copy": ell,
                 "next": next_bit,
@@ -251,24 +227,26 @@ def dec_repeat(params: RepeatParams, stream: SymbolStream, rng,
                 "settled": settled,
                 "nodes": np.array([nd for pl in plans for it in pl.iterations
                                    for nd in it.nodes], dtype=np.int64),
-                "plan_blocks": np.array([b for pl in plans for it in pl.iterations
-                                         for b in it.blocks], dtype=np.int64),
-                "check_vals": check_vals,
-                "bufs": np.concatenate([b for row in bufs for b in row]),
+                "plan_blocks": blocks,
+                "check_vals": np.full(params.v, -1, dtype=np.int64),
+                "bufs": np.zeros(blocks.size * L, dtype=np.int8),
             }
             ledger.checkpoint(state_size_bits(state), label=f"copy{ell}/harvest")
             try:
-                _walk_copy(stream, L, NB, deliveries, singles)
+                rows = _read_copy(stream, L, NB,
+                                  np.concatenate([blocks.reshape(-1), check_blocks]))
             except StreamExhausted:
                 exhausted = True
                 break
             copies_used = ell + 1
+            check_vals = rows[blocks.size:][np.arange(params.v), check_offs]
+            words = rows[:blocks.size].reshape(len(plans), ldc.t_advice, -1)
             c = int((check_vals != settled[u:]).sum())
             passed = Fraction(c) < params.threshold
             wrote = False
             if passed:
                 try:
-                    bits = [decode_advice_from_words(ldc, pl, bufs[pi], settled[:u])
+                    bits = [decode_advice_from_words(ldc, pl, words[pi], settled[:u])
                             for pi, pl in enumerate(plans)]
                 except AdviceMismatch:
                     advice_failures += 1
@@ -277,17 +255,10 @@ def dec_repeat(params: RepeatParams, stream: SymbolStream, rng,
                         tape.write(i, int(bval))
                     next_bit = pending[-1] + 1
                     wrote = True
+            del rows, words
             per_copy.append({"phase": 2, "c": c, "passed": passed, "wrote": wrote})
 
     success = next_bit >= params.msg_bits
-    trace = None
-    if collect_trace:
-        trace = {
-            "settled_after": settled_after,
-            "p_history": p_history,
-            "settle_threshold": params.settle_threshold,
-            "threshold": params.threshold,
-        }
     return RepeatResult(
         success=success,
         message=tape.as_array(params.msg_bits) if success else None,
@@ -298,32 +269,31 @@ def dec_repeat(params: RepeatParams, stream: SymbolStream, rng,
         advice_failures=advice_failures,
         stream_exhausted=exhausted,
         ledger=ledger,
-        trace=trace,
     )
 
 
-def errcount_property_probe(params: RepeatParams, trace: dict) -> list:
+def errcount_property_probe(params: RepeatParams, settled_after: int | None,
+                            errors_per_copy) -> list:
     """Cross-check phase-1 progress against the planted error counts.
 
-    trace needs "errors_per_copy" (substitutions planted in each copy, in
-    stream order) plus the fields recorded by dec_repeat(collect_trace=True).
-    Whenever the decoder was still tracking after copy ell, the planted errors
-    in copies 1..ell must reach (1 - eps) (ell - copies/2) N / 2 — staying
-    unsettled is only possible while the adversary keeps spending.  Returns a
-    list of {copy, cum_errors, bound} records for every copy where the planted
+    settled_after is RepeatResult.settled_after; errors_per_copy counts the
+    substitutions planted in each copy, in stream order.  Whenever the
+    decoder was still tracking after copy ell, the planted errors in copies
+    1..ell must reach (1 - eps) (ell - copies/2) N / 2 — staying unsettled is
+    only possible while the adversary keeps spending.  Returns a list of
+    {copy, cum_errors, bound} records for every copy where the planted
     errors fall strictly below the bound (empty when the property holds).
     This is an expectation-level diagnostic, not a per-run guarantee.
     """
-    errs = trace["errors_per_copy"]
     eps = params.ldc.eps
     N = params.ldc.code_len
     half_k = Fraction(params.copies, 2)
-    settled_after = trace.get("settled_after")
-    horizon = (settled_after - 1) if settled_after else min(len(errs), params.copies)
+    horizon = (settled_after - 1 if settled_after
+               else min(len(errors_per_copy), params.copies))
     violations = []
     cum = 0
     for ell in range(1, horizon + 1):
-        cum += errs[ell - 1]
+        cum += errors_per_copy[ell - 1]
         bound = (1 - eps) * (ell - half_k) * N / 2
         if Fraction(cum) < bound:
             violations.append({"copy": ell, "cum_errors": cum, "bound": bound})

@@ -15,7 +15,7 @@ index's smooth-decoding plan (base outcomes at level 1, recursive calls
 above), runs the confidence decoder over the returned values, and returns
 sigma_1 + ... + sigma_r with probability min_i p_i (anything else is ⊥).
 
-Sharing discipline across the parallel instances of linear_dec:
+Sharing discipline across the parallel instances of linear_dec_traced:
   - base blocks: one decode and one acceptance coin, cached per block tuple —
     instances never disagree on a block's sigma/⊥ outcome;
   - level-1 nodes: their (value, p) pair is a deterministic function of the
@@ -410,8 +410,3 @@ def linear_dec_traced(params: TensorParams, stream: SymbolStream, ell_bits,
                  "live_ok": all(live_max[j] <= live_cap[j] for j in live_max),
                  "base_blocks": len(base_cache), "level1_nodes": len(node_cache),
                  "qlist_cap": params.cap}
-
-
-def linear_dec(params: TensorParams, stream: SymbolStream, ell_bits,
-               rng) -> int:
-    return linear_dec_traced(params, stream, ell_bits, rng)[0]

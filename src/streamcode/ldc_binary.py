@@ -29,10 +29,8 @@ import numpy as np
 from .gf import GF, FieldSpec, mul_lut, poly_interpolate, powers
 from .codes import (LinearCode, _rref, codebook, concat,
                     list_decode_concat, rs_code, unique_decode)
-from .ldc_core import (CurvePlan, RmLdc, SmoothPlan, curve_plan, encode, gather,
+from .ldc_core import (CurvePlan, RmLdc, SmoothPlan, curve_plan, gather,
                        sample_smooth_plan)
-
-ldc_encode = encode
 
 
 class AdviceMismatch(Exception):

@@ -35,11 +35,7 @@ import numpy as np
 
 from .gf import GF, FieldSpec
 from .codes import LinearCode, codebook
-from .ldc_core import RmLdc, SmoothPlan, encode, gather, sample_smooth_plan
-
-ldc_large_encode = encode
-sample_smooth_plan_large = sample_smooth_plan
-gather_syms = gather
+from .ldc_core import RmLdc, SmoothPlan, gather, sample_smooth_plan
 
 
 class ResampleExhausted(Exception):

@@ -32,18 +32,16 @@ from streamcode.codes import (
     unique_decode, word_dist2,
 )
 from streamcode.ldc_binary import (
-    AdviceMismatch, BinaryLdcParams, decode_with_advice, gather, ldc_encode,
+    AdviceMismatch, BinaryLdcParams, decode_with_advice, gather,
     sample_advice, sample_advice_plan, sample_smooth_plan,
     smooth_confidence_from_words,
 )
 from streamcode.ldc_large import (
     LargeLdcParams, UniformQuerySpec, confidence_from_words_large,
-    gather_syms, gen_qlists, ldc_large_encode, overlap_cap,
-    query_smoothness_check, ResampleExhausted, sample_smooth_plan_large,
+    gen_qlists, overlap_cap, query_smoothness_check, ResampleExhausted,
 )
-from streamcode.channel import (
-    AttackStrategy, ErrorBudget, corrupt, corruption_dist2,
-)
+from streamcode.ldc_core import encode
+from streamcode.channel import AttackStrategy, ErrorBudget, corrupt
 from streamcode.codec_repeat import (
     dec_repeat, enc_repeat, errcount_property_probe,
 )
@@ -111,12 +109,10 @@ def _repeat_trial(params, seed, trial, strategy, options, rho):
                   random.Random(f"{seed}:{trial}:chan"))
     ledger = MemoryLedger(params.budget_bits)
     res = dec_repeat(params, SymbolStream(bad), random.Random(f"{seed}:{trial}:dec"),
-                     ledger=ledger, collect_trace=True)
+                     ledger=ledger)
     N = params.ldc.code_len
-    errs = [corruption_dist2(code[c * N:(c + 1) * N], bad[c * N:(c + 1) * N]) // 2
+    errs = [word_dist2(code[c * N:(c + 1) * N], bad[c * N:(c + 1) * N]) // 2
             for c in range(params.copies)]
-    trace = dict(res.trace)
-    trace["errors_per_copy"] = errs
     tape_exact = bool(
         res.success
         and np.array_equal(res.message, x)
@@ -129,8 +125,9 @@ def _repeat_trial(params, seed, trial, strategy, options, rho):
         "peak_bits": ledger.peak_bits,
         "budget_bits": params.budget_bits,
         "ledger_violations": len(ledger.violations),
-        "probe_violations": len(errcount_property_probe(params, trace)),
-        "planted_dist2": corruption_dist2(code, bad),
+        "probe_violations": len(errcount_property_probe(params, res.settled_after,
+                                                        errs)),
+        "planted_dist2": word_dist2(code, bad),
         "limit_dist2": budget.limit2,
         "copies_used": res.copies_used,
     }
@@ -180,7 +177,7 @@ def _tensor_trial(params, seed, trial, rho):
         "live_max": diag["live_max"],
         "live_cap": diag["live_cap"],
         "bot_instances": diag["bot_instances"],
-        "planted_dist2": corruption_dist2(word, bad),
+        "planted_dist2": word_dist2(word, bad),
         "limit_dist2": budget.limit2,
     }
 
@@ -383,7 +380,7 @@ def test_c04_smooth_inequality_binary():
         assert Fraction(k, P_SMOOTH.code_len) == delta
         for _ in range(500):
             x = _bits(rng, P_SMOOTH.n)
-            w = ldc_encode(P_SMOOTH, x)
+            w = encode(P_SMOOTH, x)
             for pos in rng.sample(range(P_SMOOTH.code_len), k):
                 w[pos] ^= 1
             i = rng.randrange(P_SMOOTH.n)
@@ -411,15 +408,15 @@ def test_c05_smooth_inequality_large_alphabet():
     for _ in range(500):
         x = np.array([rng.randrange(LT.K.q) for _ in range(LT.r)],
                      dtype=np.int32)
-        word = ldc_large_encode(LT, x)
+        word = encode(LT, x)
         budget = ErrorBudget(Fraction(3, 10), len(word))
         bad = corrupt(word, AttackStrategy("erasure_mix", {}), budget, rng,
                       LT.K.k)
-        delta = Fraction(corruption_dist2(word, bad), 2 * len(word))
+        delta = Fraction(word_dist2(word, bad), 2 * len(word))
         i = rng.randrange(LT.r)
-        plan = sample_smooth_plan_large(LT, i, rng)
+        plan = sample_smooth_plan(LT, i, rng)
         assert len(np.unique(plan.positions)) <= LT.queries
-        words = [gather_syms(bad, c.positions) for c in plan.curves]
+        words = [gather(bad, c.positions) for c in plan.curves]
         conf = confidence_from_words_large(LT, plan, words)
         p_true = conf.field_mass.get(int(x[i]), Fraction(0))
         if not p_true + conf.p_bot / 2 > 1 - delta - LT.eps:
@@ -440,7 +437,7 @@ def test_c06_advice_decoding():
     ok = 0
     for _ in range(200):
         x = _bits(rng, P_ADVICE.n)
-        w = ldc_encode(P_ADVICE, x)
+        w = encode(P_ADVICE, x)
         adv = sample_advice(P_ADVICE, rng)
         vals = gather(w, list(adv.positions))
         for pos in rng.sample(range(P_ADVICE.code_len), k):
@@ -463,7 +460,7 @@ def test_c06_advice_decoding():
     flagged = 0
     for _ in range(100):
         x = _bits(rng, P_ADVICE.n)
-        w = ldc_encode(P_ADVICE, x)
+        w = encode(P_ADVICE, x)
         adv = sample_advice(P_ADVICE, rng)
         vals = gather(w, list(adv.positions)).copy()
         vals[rng.randrange(len(vals))] ^= 1
@@ -489,8 +486,8 @@ def test_c07_query_plan_properties():
         p2 = sample_smooth_plan(P_SMOOTH, i, random.Random(1234))
         assert np.array_equal(p1.positions, p2.positions)
     for i in (0, 1, 2):
-        p1 = sample_smooth_plan_large(LT, i, random.Random(99))
-        p2 = sample_smooth_plan_large(LT, i, random.Random(99))
+        p1 = sample_smooth_plan(LT, i, random.Random(99))
+        p2 = sample_smooth_plan(LT, i, random.Random(99))
         assert np.array_equal(p1.positions, p2.positions)
     adv = sample_advice(P_ADVICE, random.Random(7))
     a1 = sample_advice_plan(P_ADVICE, 3, adv, random.Random(42))
@@ -503,7 +500,7 @@ def test_c07_query_plan_properties():
     for _ in range(50):
         plan = sample_smooth_plan(P_SMOOTH, rng.randrange(P_SMOOTH.n), rng)
         assert len(np.unique(plan.positions)) <= P_SMOOTH.queries_smooth
-        planl = sample_smooth_plan_large(LT, rng.randrange(LT.r), rng)
+        planl = sample_smooth_plan(LT, rng.randrange(LT.r), rng)
         assert len(np.unique(planl.positions)) <= LT.queries
 
     # smoothness: empirical per-position frequency over 10^4 samples stays
@@ -737,7 +734,7 @@ def test_c14_channel_discipline(repeat_uniform, tensor_rho):
                     bad = corrupt(word, AttackStrategy(name, opts), budget,
                                   rng, field_k)
                     assert np.array_equal(word, before)  # original untouched
-                    d2 = corruption_dist2(word, bad)
+                    d2 = word_dist2(word, bad)
                     assert d2 <= budget.limit2, (name, str(rho), d2)
                     assert d2 == budget.charged2
                     assert len(bad) == len(word)

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from streamcode.channel import (AttackStrategy, ErrorBudget, _draws_below,
-                                _sample, corrupt, corruption_dist2)
+                                _sample, corrupt)
+from streamcode.codes import word_dist2
 from streamcode.gf import ERASE, MODULI
 
 
@@ -48,7 +49,7 @@ class TestStrategies:
         out = corrupt(word, AttackStrategy("uniform"), budget("1/10", 200),
                       random.Random(1), 0)
         assert int(out.sum()) == 20
-        assert corruption_dist2(word, out) == 40
+        assert word_dist2(word, out) == 40
 
     def test_uniform_deterministic(self):
         word = np.zeros(100, dtype=np.uint8)
@@ -109,7 +110,7 @@ class TestStrategies:
         era = int((out == ERASE).sum())
         flips = int(((out != word) & (out != ERASE)).sum())
         assert era == 20 and flips == 10
-        assert corruption_dist2(word, out) == 2 * flips + era == 40
+        assert word_dist2(word, out) == 2 * flips + era == 40
         assert b.charged2 == 40
 
     def test_erasure_mix_rejects_binary(self):
@@ -164,7 +165,7 @@ class TestBlockzeroAttack:
             out = corrupt(word, AttackStrategy("blockzero",
                                                {"block_len": 8, "window_step": 8}),
                           b, random.Random(seed), 0)
-            assert corruption_dist2(word, out) == b.charged2 == b.limit2
+            assert word_dist2(word, out) == b.charged2 == b.limit2
 
     def test_zeroes_symbols(self):
         word = np.full(32, 9, dtype=np.int32)
@@ -286,7 +287,7 @@ def test_corrupt_contract(field_k, name, m, rho, pre_share, seed, copy_len,
         assert not erased.any()
     subs = int(((out != word) & ~erased).sum())
     assert subs + int(erased.sum()) / 2 <= b.limit  # an erasure counts half
-    assert corruption_dist2(word, out) == b.charged2 - pre
+    assert word_dist2(word, out) == b.charged2 - pre
     assert b.charged2 <= b.limit2
 
 

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from streamcode.gf import ERASE, GF, word_to_hex
+from streamcode import cli
+from streamcode.channel import corrupt
 from streamcode.cli import main, run_experiment, verify_code_tables
 from streamcode.codec_repeat import RepeatParams
 from streamcode.codec_tensor import TensorParams, functional_dot
@@ -243,6 +245,30 @@ def test_run_experiment_repeat_aggregates():
     assert agg["measured_code_len"] == 16384
     assert not rep["invariant_fired"]
     assert [o["trial"] for o in rep["outcomes"]] == [0, 1, 2]
+
+
+def test_run_experiment_probe_gets_substitution_counts(monkeypatch):
+    """The error-count probe is handed each copy's number of changed
+    positions, not its dist2 (which counts two per flipped bit)."""
+    planted, handed = [], []
+
+    def spy_corrupt(word, *args):
+        bad = corrupt(word, *args)
+        planted.append((word, bad))
+        return bad
+
+    def spy_probe(params, settled_after, errors_per_copy):
+        handed.append(errors_per_copy)
+        return []
+
+    monkeypatch.setattr(cli, "corrupt", spy_corrupt)
+    monkeypatch.setattr(cli, "errcount_property_probe", spy_probe)
+    prof = load_profile("repeat-unit")
+    run_experiment(prof, trials=3, seed=11)
+    copies = build_params(prof).copies
+    assert handed == [(word != bad).reshape(copies, -1).sum(axis=1).tolist()
+                      for word, bad in planted]
+    assert all(sum(errs) > 0 for errs in handed)
 
 
 def test_run_experiment_reproducible():

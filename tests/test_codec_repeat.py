@@ -8,18 +8,16 @@ accepted copies then finish the harvest.
 
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from streamcode.codec_repeat import (RepeatParams, _schedule, _walk_copy,
-                                     dec_repeat, enc_repeat,
-                                     errcount_property_probe)
+from streamcode.codec_repeat import (RepeatParams, _read_copy, dec_repeat,
+                                     enc_repeat, errcount_property_probe)
 from streamcode.gf import ERASE, GF
 from streamcode.codes import extended_hamming_code
 from streamcode.ldc_binary import BinaryLdcParams
-from streamcode.stream import MemoryLedger, SymbolStream
+from streamcode.stream import SymbolStream
 
 
 def make_params(budget_bits=1 << 15, threshold_variant="algorithm"):
@@ -101,6 +99,17 @@ class TestCleanStream:
         assert not res.ledger.exceeded
         assert res.report()["budget_ok"]
 
+    @pytest.mark.parametrize("seed, total_read", [(0, 7368), (1, 7656)])
+    def test_read_schedule_pinned(self, seed, total_read):
+        # six copies of 2048 consumed, the symbols read and the ledger peak
+        # as measured on the earlier one-read-per-block schedule
+        p = make_params()
+        stream = SymbolStream(enc_repeat(p, msg()))
+        res = dec_repeat(p, stream, random.Random(seed))
+        assert res.success
+        assert (stream.cursor, stream.total_read) == (12288, total_read)
+        assert res.ledger.peak_bits == 17264
+
     def test_budget_violations_recorded_not_raised(self):
         p = make_params(budget_bits=4000)
         res = dec_repeat(p, SymbolStream(enc_repeat(p, msg())), random.Random(1))
@@ -173,25 +182,20 @@ class TestExhaustion:
 class TestErrcountProbe:
     def test_clean_run_has_no_violations(self):
         p = make_params()
-        res = dec_repeat(p, SymbolStream(enc_repeat(p, msg())), random.Random(0),
-                         collect_trace=True)
-        trace = dict(res.trace)
-        trace["errors_per_copy"] = [0] * 8
-        assert errcount_property_probe(p, trace) == []
+        res = dec_repeat(p, SymbolStream(enc_repeat(p, msg())), random.Random(0))
+        assert errcount_property_probe(p, res.settled_after, [0] * 8) == []
 
     def test_late_settling_with_no_errors_is_flagged(self):
         p = make_params()
-        trace = {"settled_after": 8, "errors_per_copy": [0] * 8}
-        violations = errcount_property_probe(p, trace)
+        violations = errcount_property_probe(p, 8, [0] * 8)
         # bound (1-eps)(ell - 4) N / 2 is positive for ell = 5, 6, 7
         assert [v["copy"] for v in violations] == [5, 6, 7]
         assert violations[0]["bound"] == Fraction(4, 5) * 1 * 2048 / 2
 
     def test_heavy_errors_satisfy_the_property(self):
         p = make_params()
-        trace = {"settled_after": 7,
-                 "errors_per_copy": [900, 900, 900, 900, 900, 900, 0, 0]}
-        assert errcount_property_probe(p, trace) == []
+        errors = [900, 900, 900, 900, 900, 900, 0, 0]
+        assert errcount_property_probe(p, 7, errors) == []
 
 
 class TestReport:
@@ -210,15 +214,16 @@ class TestReport:
         assert d["threshold_variant"] == "algorithm"
 
 
-def test_walk_copy_delivers_erasures():
-    """An erased bit reaches the curve buffers and the single-bit slots as
-    ERASE, so the decoders charge it one half instead of a whole flip."""
-    word = np.array([0, 1, 1, 0, 1, ERASE, 0, 1, 1, 1, 0, 0], dtype=np.int32)
-    curve = SimpleNamespace(positions=range(8), blocks=[1, 0])
-    [[buf]], deliveries = _schedule(4, [[curve]])
-    vals = np.zeros(2, dtype=np.int64)
+def test_read_copy_delivers_erasures():
+    """An erased bit comes back as ERASE, so the decoders charge it one half
+    instead of a whole flip; blocks are gathered in the caller's shape, only
+    the needed ones count as read, and the cursor ends at the copy's end."""
+    word = np.array([0, 1, 1, 0, 1, ERASE, 0, 1, 1, 1, 0, 0, 1, 0, 0, 0],
+                    dtype=np.int32)
     stream = SymbolStream(word)
-    _walk_copy(stream, 4, 3, deliveries, {1: [(vals, 1, 1)]})
-    assert buf.tolist() == [1, ERASE, 0, 1, 0, 1, 1, 0]
-    assert vals.tolist() == [0, ERASE]
-    assert stream.cursor == len(word)
+    rows = _read_copy(stream, 4, 4, np.array([[1, 0], [1, 1]]))
+    assert rows.dtype == np.int8 and rows.shape == (2, 2, 4)
+    assert rows[0].reshape(-1).tolist() == [1, ERASE, 0, 1, 0, 1, 1, 0]
+    assert rows[1].reshape(-1).tolist() == [1, ERASE, 0, 1] * 2
+    assert (stream.cursor, stream.total_read) == (len(word), 8)
+    assert type(stream.cursor) is int and type(stream.total_read) is int

@@ -11,14 +11,14 @@ import pytest
 from streamcode.gf import ERASE, GF, field_mul
 from streamcode.codes import (LinearCode, codebook, doubly_extended_rs,
                               min_distance_bruteforce)
-from streamcode.ldc_large import (LargeLdcParams, confidence_from_words_large, gen_qlists,
-                                  ldc_large_encode)
+from streamcode.ldc_core import encode
+from streamcode.ldc_large import LargeLdcParams, confidence_from_words_large, gen_qlists
 from streamcode.profiles import build_params, load_profile
 from streamcode.stream import StreamExhausted, SymbolStream
 from streamcode.codec_tensor import (LinearFunctional, TensorParams,
                                      base_symbol_code, default_instances,
                                      enc_linear, functional_dot,
-                                     lift_functional, linear_dec,
+                                     lift_functional,
                                      linear_dec_traced, recurse_linear,
                                      tensor_encode, tensor_regime,
                                      _base_tables, _coin, _decode_base_blocks,
@@ -105,7 +105,7 @@ def test_tensor_encode_depth_one_matches_axis_code():
         x = rng.integers(0, 4, size=4).astype(np.int32)
         got = tensor_encode(P.axis_code, 1, x)
         assert np.array_equal(got, P.axis_code.encode(x))
-        assert np.array_equal(got, ldc_large_encode(P.ldc, x))
+        assert np.array_equal(got, encode(P.ldc, x))
 
 
 def test_tensor_encode_axis_commutation():
@@ -428,7 +428,7 @@ def test_linear_dec_small_instance_roundtrip():
         x = rand_bits(nrng, 4)
         ell_bits = rand_bits(nrng, 4)
         cw = enc_linear(P, x)
-        bit = linear_dec(P, SymbolStream(cw), ell_bits, random.Random(trial))
+        bit = linear_dec_traced(P, SymbolStream(cw), ell_bits, random.Random(trial))[0]
         assert bit == functional_dot(ell_bits, x)
 
 
@@ -451,8 +451,8 @@ def test_linear_dec_zero_functional():
     nrng = np.random.default_rng(14)
     x = rand_bits(nrng, 16)
     cw = enc_linear(P, x)
-    bit = linear_dec(P, SymbolStream(cw), np.zeros(16, dtype=np.int32),
-                     random.Random(0))
+    bit = linear_dec_traced(P, SymbolStream(cw), np.zeros(16, dtype=np.int32),
+                            random.Random(0))[0]
     assert bit == 0
 
 
@@ -493,8 +493,8 @@ def test_linear_dec_under_corruption():
         budget = ErrorBudget(rho=Fraction(1, 20), m=len(cw))
         bad = corrupt(cw, AttackStrategy("uniform"), budget,
                       random.Random(7000 + trial))
-        bit = linear_dec(P, SymbolStream(bad), ell_bits,
-                         random.Random(trial))
+        bit = linear_dec_traced(P, SymbolStream(bad), ell_bits,
+                                random.Random(trial))[0]
         wins += bit == functional_dot(ell_bits, x)
     assert wins >= 9
 
@@ -502,8 +502,8 @@ def test_linear_dec_under_corruption():
 def test_linear_dec_short_stream_raises():
     P = toy_params()
     with pytest.raises(StreamExhausted):
-        linear_dec(P, SymbolStream(np.zeros(100, dtype=np.int32)),
-                   np.zeros(16, dtype=np.int32), random.Random(0))
+        linear_dec_traced(P, SymbolStream(np.zeros(100, dtype=np.int32)),
+                          np.zeros(16, dtype=np.int32), random.Random(0))
 
 
 def test_linear_dec_rejects_erased_bit():
@@ -513,4 +513,5 @@ def test_linear_dec_rejects_erased_bit():
     cw = enc_linear(P, np.array([1, 0, 1, 1], dtype=np.int32))
     cw[3] = ERASE
     with pytest.raises(ValueError, match="erasure"):
-        linear_dec(P, SymbolStream(cw), np.ones(4, dtype=np.int32), random.Random(0))
+        linear_dec_traced(P, SymbolStream(cw), np.ones(4, dtype=np.int32),
+                          random.Random(0))

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamcode.gf import ERASE, GF, field_mul, mul_arrays, pack_symbols, poly_eval, powers
+from streamcode.gf import ERASE, GF, mul_arrays, pack_symbols, poly_eval, powers
 from streamcode.codes import (
     ConcatCode, LinearCode, _bw_decode, _gmd_inner, _gmd_sweep, codebook, concat,
     doubly_extended_rs, ecc_eps, extended_hamming_code, list_decode_concat, make_systematic,

@@ -1,4 +1,4 @@
-"""Every name imported into the library and the scripts is used there.
+"""Every name imported into the library, the scripts and the tests is used there.
 
 A walk over each module's syntax tree: the names an import statement binds
 must each appear somewhere else in the module as a name (a bare reference,
@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted((ROOT / "src" / "streamcode").glob("*.py")) + sorted(
-    (ROOT / "scripts").glob("*.py"))
+MODULES = [path for sub in ("src/streamcode", "scripts", "tests")
+           for path in sorted((ROOT / sub).glob("*.py"))]
 
 
 def unused_imports(source: str) -> list:

@@ -14,9 +14,10 @@ from streamcode.codes import (codebook, extended_hamming_code, list_decode_conca
 from streamcode.ldc_binary import (
     AdviceMismatch, BinaryLdcParams, advice_coset, advice_symbols,
     asymptotic_regime, decode_advice_from_words, decode_with_advice,
-    ldc_encode, sample_advice, sample_advice_plan, sample_smooth_plan,
-    smooth_local_decode, smooth_confidence_from_words, gather,
+    sample_advice, sample_advice_plan, sample_smooth_plan,
+    smooth_local_decode, gather,
 )
+from streamcode.ldc_core import encode
 from streamcode.profiles import build_params, load_profile
 
 
@@ -44,7 +45,7 @@ def test_encode_systematic_readback():
     rng = random.Random(1)
     for _ in range(10):
         x = random_message(p, rng)
-        w = ldc_encode(p, x)
+        w = encode(p, x)
         assert len(w) == p.code_len
         got = [int(w[p.bit_position(i)]) for i in range(p.n)]
         assert got == list(x)
@@ -54,7 +55,7 @@ def test_encode_is_linear():
     p = toy_params()
     rng = random.Random(2)
     a, b = random_message(p, rng), random_message(p, rng)
-    assert np.array_equal(ldc_encode(p, a ^ b), ldc_encode(p, a) ^ ldc_encode(p, b))
+    assert np.array_equal(encode(p, a ^ b), encode(p, a) ^ encode(p, b))
 
 
 def test_curve_restriction_is_curve_codeword():
@@ -63,7 +64,7 @@ def test_curve_restriction_is_curve_codeword():
     p = toy_params()
     rng = random.Random(3)
     x = random_message(p, rng)
-    w = ldc_encode(p, x)
+    w = encode(p, x)
     syms = np.array([pack_symbols(GF(1), p.F, x[j * 4:(j + 1) * 4]) for j in range(3)])
     evals = p.rm.encode(syms)
     for i in range(4):
@@ -82,7 +83,7 @@ def test_smooth_uncorrupted_certainty():
     p = toy_params()
     rng = random.Random(4)
     x = random_message(p, rng)
-    w = ldc_encode(p, x)
+    w = encode(p, x)
     for i in range(p.n):
         c = smooth_local_decode(w, i, p, rng)
         assert (c.p1, c.p0) == (Fraction(1), Fraction(0)) if x[i] else \
@@ -95,7 +96,7 @@ def test_smooth_complement_oracle_certain_zero():
     p = toy_params()
     rng = random.Random(5)
     x = random_message(p, rng)
-    w = 1 - ldc_encode(p, x)
+    w = 1 - encode(p, x)
     for i in range(0, p.n, 3):
         c = smooth_local_decode(w, i, p, rng)
         assert (c.p1 if x[i] else c.p0) == Fraction(0)
@@ -105,7 +106,7 @@ def test_smooth_codeword_index():
     p = toy_params()
     rng = random.Random(6)
     x = random_message(p, rng)
-    w = ldc_encode(p, x)
+    w = encode(p, x)
     for j in [0, 5, 100, 1027, 2047]:
         c = smooth_local_decode(w, j, p, rng, index="codeword")
         assert c.best() == int(w[j])
@@ -118,7 +119,7 @@ def test_smooth_under_mild_corruption():
     ok = 0
     for _ in range(30):
         x = random_message(p, rng)
-        w = ldc_encode(p, x)
+        w = encode(p, x)
         for pos in rng.sample(range(p.code_len), p.code_len // 20):  # 5%
             w[pos] ^= 1
         i = rng.randrange(p.n)
@@ -162,7 +163,7 @@ def test_advice_decode_uncorrupted():
     p = toy_params()
     rng = random.Random(10)
     x = random_message(p, rng)
-    w = ldc_encode(p, x)
+    w = encode(p, x)
     adv = sample_advice(p, rng)
     vals = gather(w, list(adv.positions))
     for i in range(p.n):
@@ -175,7 +176,7 @@ def test_advice_decode_light_corruption():
     ok = trials = 0
     for _ in range(25):
         x = random_message(p, rng)
-        w = ldc_encode(p, x)
+        w = encode(p, x)
         adv = sample_advice(p, rng)
         vals = gather(w, list(adv.positions))  # advice stays clean
         for pos in rng.sample(range(p.code_len), p.code_len // 50):  # 2%
@@ -193,7 +194,7 @@ def test_advice_mismatch_on_invalid_advice():
     p = toy_params()
     rng = random.Random(12)
     x = random_message(p, rng)
-    w = ldc_encode(p, x)
+    w = encode(p, x)
     adv = sample_advice(p, rng)
     vals = gather(w, list(adv.positions))
     vals = vals.copy()
@@ -208,7 +209,7 @@ def test_advice_wrong_but_valid_advice_changes_answer_or_mismatches():
     p = toy_params()
     rng = random.Random(13)
     x = random_message(p, rng)
-    w = ldc_encode(p, x)
+    w = encode(p, x)
     adv = sample_advice(p, rng)
     wrong_sym_bits = p.inner_words[7]
     true_block = gather(w, list(adv.positions))
@@ -289,7 +290,7 @@ def test_advice_coset_decode_matches_full_scan_filter(name):
     sizes = []
     for case in ["clean", 0.2, 0.3, 0.4, "invalid", "wrong"] * 3:
         x = random_message(p, rng)
-        w = ldc_encode(p, x)
+        w = encode(p, x)
         adv = sample_advice(p, rng)
         vals = gather(w, list(adv.positions)).copy()
         if case == "invalid":
@@ -314,7 +315,7 @@ def test_equidistant_inner_variant_builds():
     p = toy_params(inner=replicate(simplex_code(4), 2))
     rng = random.Random(14)
     x = random_message(p, rng)
-    w = ldc_encode(p, x)
+    w = encode(p, x)
     assert len(w) == 256 * 30
     c = smooth_local_decode(w, 5, p, rng)
     assert max(c.p0, c.p1) == Fraction(1)

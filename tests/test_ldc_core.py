@@ -13,10 +13,9 @@ import pytest
 from streamcode.codes import (doubly_extended_rs, extended_hamming_code, replicate,
                               simplex_code)
 from streamcode.gf import GF, pack_symbols, poly_eval
-from streamcode.ldc_core import curve_plan
-from streamcode.ldc_binary import BinaryLdcParams, ldc_encode, sample_smooth_plan
-from streamcode.ldc_large import (LargeLdcParams, ldc_large_encode,
-                                  sample_smooth_plan_large)
+from streamcode.ldc_core import curve_plan, encode, sample_smooth_plan
+from streamcode.ldc_binary import BinaryLdcParams
+from streamcode.ldc_large import LargeLdcParams
 
 GEOMETRIES = {
     "ext-hamming": (extended_hamming_code, 2, 1),
@@ -42,11 +41,11 @@ def test_binary_equals_large_over_gf2(name):
     rng = random.Random(name)
     for _ in range(3):
         x = np.array([rng.randrange(2) for _ in range(binary.n)], dtype=np.int32)
-        assert np.array_equal(ldc_encode(binary, x), ldc_large_encode(large, x))
+        assert np.array_equal(encode(binary, x), encode(large, x))
     for index, count in (("message", binary.n), ("codeword", binary.code_len)):
         for i in random.Random(1).sample(range(count), 6):
             pb = sample_smooth_plan(binary, i, random.Random(i), index=index)
-            pl = sample_smooth_plan_large(large, i, random.Random(i), index=index)
+            pl = sample_smooth_plan(large, i, random.Random(i), index=index)
             assert pb.offset == pl.offset and pb.v0 == pl.v0
             assert np.array_equal(pb.positions, pl.positions)
 

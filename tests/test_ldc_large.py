@@ -10,11 +10,12 @@ import pytest
 from streamcode.gf import ERASE, GF, field_mul, mul_lut
 from streamcode.codes import codebook, repetition_code, doubly_extended_rs
 from streamcode.ldc_large import (
-    SCAN_CHUNK, ConfidenceDist, LargeLdcParams, QueryLists, ResampleExhausted,
-    UniformQuerySpec, decode_curves_large, gen_qlists, ldc_large_encode, overlap_cap,
-    query_smoothness_check, sample_smooth_plan_large, smooth_local_decode_large,
-    gather_syms,
+    SCAN_CHUNK, ConfidenceDist, LargeLdcParams, ResampleExhausted,
+    UniformQuerySpec, decode_curves_large, gen_qlists, overlap_cap,
+    query_smoothness_check, sample_smooth_plan, smooth_local_decode_large,
+    gather,
 )
+from streamcode.ldc_core import encode
 
 GF16 = GF(4)
 
@@ -42,23 +43,23 @@ def test_encode_systematic_and_linear():
     rng = random.Random(1)
     for _ in range(10):
         x = random_message(p, rng)
-        w = ldc_large_encode(p, x)
+        w = encode(p, x)
         assert len(w) == p.code_len
         assert [int(w[p.sym_position(i)]) for i in range(p.r)] == list(x)
     a, b = random_message(p, rng), random_message(p, rng)
-    assert np.array_equal(ldc_large_encode(p, a ^ b),
-                          ldc_large_encode(p, a) ^ ldc_large_encode(p, b))
+    assert np.array_equal(encode(p, a ^ b),
+                          encode(p, a) ^ encode(p, b))
     # K-linearity under scalar multiplication as well
     c = 7
     ca = np.array([field_mul(GF16, c, int(v)) for v in a], dtype=np.int32)
-    assert np.array_equal(ldc_large_encode(p, ca), mul_lut(GF16, c)[ldc_large_encode(p, a)])
+    assert np.array_equal(encode(p, ca), mul_lut(GF16, c)[encode(p, a)])
 
 
 def test_smooth_uncorrupted_certainty():
     p = toy_params()
     rng = random.Random(2)
     x = random_message(p, rng)
-    w = ldc_large_encode(p, x)
+    w = encode(p, x)
     for i in range(p.r):
         dist = smooth_local_decode_large(w, i, p, rng)
         sigma, mass, bot = dist.merged()
@@ -69,16 +70,16 @@ def test_smooth_single_erasure_exact_masses():
     p = toy_params()
     rng = random.Random(3)
     x = random_message(p, rng)
-    w = ldc_large_encode(p, x)
+    w = encode(p, x)
     i = 1
-    plan = sample_smooth_plan_large(p, i, p_rng := random.Random(7))
+    plan = sample_smooth_plan(p, i, p_rng := random.Random(7))
     # erase one position that only the first curve reads
     only_first = set(map(int, plan.curves[0].positions)) - set(map(int, plan.curves[1].positions))
     pos = sorted(only_first)[0]
     w = w.copy()
     w[pos] = ERASE
     from streamcode.ldc_large import confidence_from_words_large
-    words = [gather_syms(w, c.positions) for c in plan.curves]
+    words = [gather(w, c.positions) for c in plan.curves]
     dist = confidence_from_words_large(p, plan, words)
     L = p.curve_code.code_len  # 30
     # the erased curve: delta = 1/(2L); mass 1 - 1/L on sigma, 1/L on bot
@@ -91,7 +92,7 @@ def test_smooth_codeword_index():
     p = toy_params()
     rng = random.Random(4)
     x = random_message(p, rng)
-    w = ldc_large_encode(p, x)
+    w = encode(p, x)
     for j in [0, 17, 300, 511]:
         dist = smooth_local_decode_large(w, j, p, rng, index="codeword")
         sigma, mass, bot = dist.merged()
@@ -104,7 +105,7 @@ def test_smooth_under_symbol_corruption():
     ok = 0
     for _ in range(30):
         x = random_message(p, rng)
-        w = ldc_large_encode(p, x)
+        w = encode(p, x)
         for pos in rng.sample(range(p.code_len), p.code_len // 20):
             w[pos] = (w[pos] + 1 + rng.randrange(15)) % 16
         i = rng.randrange(p.r)
@@ -184,7 +185,7 @@ def test_mds_inner_variant():
     assert p.F.q == 16 and p.code_len == 256 * 5
     rng = random.Random(8)
     x = random_message(p, rng)
-    w = ldc_large_encode(p, x)
+    w = encode(p, x)
     for i in range(p.r):
         sigma, mass, _ = smooth_local_decode_large(w, i, p, rng).merged()
         assert sigma == int(x[i]) and mass == 1
