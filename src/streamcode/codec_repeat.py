@@ -5,9 +5,10 @@ Encoding tiles the base encoding k times.  The decoder runs two phases:
 
   Phase 1 (tracking): fix a set of tracked codeword positions — the advice
   blocks plus v checksum positions — and, on every copy, smooth-decode each
-  tracker with fresh random curves, accumulating the exact confidence pair
-  (P0, P1).  Once every tracker has max(P0, P1) strictly above
-  (1 - eps) * copies / 2, the trackers settle to their argmax values.
+  tracker with fresh random curves (one plan, one read and one stacked
+  decode per copy), accumulating the exact confidence pair (P0, P1).  Once
+  every tracker has max(P0, P1) strictly above (1 - eps) * copies / 2, the
+  trackers settle to their argmax values.
 
   Phase 2 (harvesting): each further copy is screened by comparing its v
   checksum positions against the settled values; a copy with mismatch count
@@ -162,12 +163,10 @@ def dec_repeat(params: RepeatParams, stream: SymbolStream, rng,
 
     adv = sample_advice(ldc, rng)
     checks = [rng.randrange(N) for _ in range(params.v)]
-    trackers = list(adv.positions) + checks
-    T = len(trackers)
-    tracker_arr = np.array(trackers, dtype=np.int64)
+    trackers = np.array(list(adv.positions) + checks, dtype=np.int64)
     check_blocks, check_offs = np.divmod(checks, L)
 
-    p_acc = [[Fraction(0), Fraction(0)] for _ in range(T)]
+    p_acc = [[Fraction(0), Fraction(0)] for _ in trackers]
     settled = None
     settled_after = None
     tape = OutputTape()
@@ -182,29 +181,25 @@ def dec_repeat(params: RepeatParams, stream: SymbolStream, rng,
             break
         if settled is None:
             # ---- phase 1: refresh every tracker on this copy
-            plans = [sample_smooth_plan(ldc, pos, rng, index="codeword")
-                     for pos in trackers]
-            blocks = np.array([[cv.blocks for cv in pl.curves] for pl in plans],
-                              dtype=np.int64)
+            plan = sample_smooth_plan(ldc, trackers, rng, index="codeword")
             state = {
                 "copy": ell,
                 "next": next_bit,
-                "trackers": tracker_arr,
+                "trackers": trackers,
                 "p": [f for pair in p_acc for f in pair],
-                "offsets": np.array([pl.offset for pl in plans], dtype=np.int64),
-                "plan_blocks": blocks,
-                "bufs": np.zeros(blocks.size * L, dtype=np.int8),
+                "offsets": plan.offset,
+                "plan_blocks": plan.blocks,
+                "bufs": np.zeros(plan.blocks.size * L, dtype=np.int8),
             }
             ledger.checkpoint(state_size_bits(state), label=f"copy{ell}/track")
             try:
-                words = _read_copy(stream, L, NB, blocks).reshape(T, ldc.t_smooth, -1)
+                words = _read_copy(stream, L, NB, plan.blocks)
             except StreamExhausted:
                 exhausted = True
                 break
-            for ti in range(T):
-                conf = smooth_confidence_from_words(ldc, plans[ti], words[ti])
-                p_acc[ti][0] += conf.p0
-                p_acc[ti][1] += conf.p1
+            for pair, conf in zip(p_acc, smooth_confidence_from_words(ldc, plan, words)):
+                pair[0] += conf.p0
+                pair[1] += conf.p1
             del words  # kept through the next copy's read, it grows the heap
             copies_used = ell + 1
             per_copy.append({"phase": 1})
@@ -223,7 +218,7 @@ def dec_repeat(params: RepeatParams, stream: SymbolStream, rng,
             state = {
                 "copy": ell,
                 "next": next_bit,
-                "trackers": tracker_arr,
+                "trackers": trackers,
                 "settled": settled,
                 "nodes": np.array([nd for pl in plans for it in pl.iterations
                                    for nd in it.nodes], dtype=np.int64),

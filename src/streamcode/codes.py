@@ -23,19 +23,13 @@ Decoding entry points:
 - nearest_codeword_bruteforce / min_distance_bruteforce: exhaustive scans over
   a cached codebook.  These double as test oracles for everything else, so
   they stay deliberately simple.
-- unique_decode: within-half-distance decoding, returning (message, dist2)
-  like the other two, or None.  Concatenated codes with a Reed-Solomon outer
-  layer go through generalized-minimum-distance (GMD) decoding: every block
-  is decoded to its nearest inner codeword, and the outer word of their
-  symbols is checked against the outer parity-check matrix.  A zero syndrome
-  settles the decode at once: the message reads off the outer word and its
-  dist2 is the sum of the blocks' own distances.  Only a nonzero syndrome
-  runs the erasure sweep, ordered by block confidence.  Each step is a
-  Berlekamp-Welch errors-and-erasures decode of the kept blocks: one
-  elimination finds the error locator E, a second interpolates the outer
-  polynomial through the kept points off the roots of E, and the candidate
-  is measured through the same block table.  Anything else small enough
-  falls back to the brute-force scan.
+- unique_decode: within-half-distance decoding of one word or of a stack,
+  giving (message, dist2) or None per word.  RS-outer concatenations take
+  generalized minimum distance (GMD) decoding (Forney 1966): one block_dist2
+  over the stack decodes every block to its nearest inner codeword, a zero
+  outer syndrome settles a word at once, and only the other words run the
+  Berlekamp-Welch erasure sweep (_gmd_decode, _bw_decode).  Anything else
+  small enough falls back to the brute-force scan.
 - list_decode_concat: all codewords within a radius, by one codebook scan
   (block table plus per-group takes for concatenated codes; the codebook is
   capped at 2^20 messages by design).  The scan covers every message, or only
@@ -492,24 +486,25 @@ def min_distance_bruteforce(code: LinearCode) -> int:
 # unique decoding
 
 def unique_decode(code: LinearCode, w, radius2: int | None = None):
-    """(message, dist2) of the unique codeword within the radius, or None.
-
+    """(message, dist2) of the unique codeword within the radius, or None;
+    for a stack of words (W, n), a list of W such results, row by row.
     radius2 is twice the absolute radius and defaults to just under half the
-    declared minimum distance, where uniqueness is guaranteed.  Concatenated
-    codes with a Reed-Solomon outer layer use GMD decoding; everything else
-    falls back to the brute-force scan when the message space allows.
-    """
+    declared minimum distance, where uniqueness is guaranteed.  RS-outer
+    concatenations use GMD; anything else small enough, the brute force."""
     if radius2 is None:
         if code.dist2_bound <= 0:
             raise ValueError("code has no declared distance; pass radius2 explicitly")
         radius2 = (code.dist2_bound - 1) // 2
+    stack = np.reshape(w, (-1, np.shape(w)[-1]))
     if isinstance(code, ConcatCode) and code.outer.kind == "rs" \
             and code.inner.msg_space <= BRUTE_FORCE_LIMIT:
-        return _gmd_decode(code, w, radius2)
-    if code.msg_space <= BRUTE_FORCE_LIMIT:
-        got = nearest_codeword_bruteforce(code, w)
-        return got if got[1] <= radius2 else None
-    raise ValueError("no decoding route: message space too large and no GMD structure")
+        got = _gmd_decode(code, stack, radius2)
+    elif code.msg_space <= BRUTE_FORCE_LIMIT:
+        got = [g if (g := nearest_codeword_bruteforce(code, x))[1] <= radius2 else None
+               for x in stack]
+    else:
+        raise ValueError("no decoding route: message space too large and no GMD structure")
+    return got if np.ndim(w) == 2 else got[0]
 
 
 class GmdTables:
@@ -544,42 +539,44 @@ class GmdTables:
         self.rec = _rref(F, np.hstack([outer.gen[pivots], np.eye(k, dtype=np.int32)]))[0][:, k:]
         self.powers = powers(F, outer.eval_points, n)
 
-    def syndrome(self, word: np.ndarray) -> np.ndarray:
-        return np.bitwise_xor.reduce(mul_arrays(self.F, self.H, word[None, :]), axis=1)
+    def syndrome(self, words) -> np.ndarray:
+        """H @ word for each outer word along the last axis."""
+        return np.bitwise_xor.reduce(mul_arrays(self.F, self.H, words[..., None, :]), axis=-1)
 
-    def message(self, word: np.ndarray) -> np.ndarray:
-        """The concatenated message whose outer codeword is `word`."""
-        return self.unpack[gf_matvec(self.F, self.rec, word[self.pivots])].ravel()
+    def message(self, words) -> np.ndarray:
+        """The concatenated message of each outer codeword along the last axis."""
+        rows = np.bitwise_xor.reduce(
+            mul_arrays(self.F, self.rec, words[..., None, self.pivots]), axis=-1)
+        return self.unpack[rows].reshape(*rows.shape[:-1], rows.shape[-1] * self.unpack.shape[1])
 
 
 def _gmd_inner(cc: ConcatCode, w):
-    """(d2, syms, best_d2): the (block, inner message) dist2 table of w, the
-    F-symbol of each block's nearest inner codeword and its dist2."""
-    g = cc.gmd
-    d2 = block_dist2(np.asarray(w, dtype=np.int32).reshape(cc.num_blocks, cc.block_len),
-                     g.inner_table)
+    """(d2, syms, best_d2) of a word or of each word of a stack, from one
+    block_dist2: the (block, inner message) dist2 table, the F-symbol of each
+    block's nearest inner codeword and its dist2."""
+    g, shape = cc.gmd, np.shape(w)[:-1] + (cc.num_blocks,)
+    d2 = block_dist2(np.reshape(w, (-1, cc.block_len)), g.inner_table)
     best = np.argmin(d2, axis=1)
-    return d2, g.sym_of_index[best], d2[np.arange(cc.num_blocks), best]
+    best_d2 = d2[np.arange(len(d2)), best]
+    return d2.reshape(shape + (-1,)), g.sym_of_index[best].reshape(shape), best_d2.reshape(shape)
 
 
-def _gmd_decode(cc: ConcatCode, w, radius2: int):
-    """Generalized minimum distance decoding for RS-outer concatenations.
-
-    Decode every block to its nearest inner codeword and take the outer word
-    of their F-symbols.  If its syndrome is zero, it is the only outer
-    codeword any sweep step could find, and the concatenated codeword it
-    names is at dist2 best_d2.sum() (every block already sits on its nearest
-    inner word): return (message, dist2) when that is inside radius2, else
-    None.  Otherwise run the erasure sweep (_gmd_sweep).  GMD finds the
-    codeword whenever dist2(w, c) is below half the designed composite
-    distance; we return the first candidate inside radius2 (unique there by
-    assumption).
-    """
-    d2, syms, best_d2 = _gmd_inner(cc, w)
-    if not cc.gmd.syndrome(syms).any():
-        total = int(best_d2.sum(dtype=np.int64))
-        return (cc.gmd.message(syms), total) if total <= radius2 else None
-    return _gmd_sweep(cc, d2, syms, best_d2, radius2)
+def _gmd_decode(cc: ConcatCode, words, radius2: int) -> list:
+    """GMD decoding of each row of the stack `words` (RS-outer concatenations):
+    every block goes to its nearest inner codeword.  A zero outer syndrome
+    names the only outer codeword any sweep step could find, at dist2
+    best_d2.sum(); other rows run the erasure sweep (_gmd_sweep).  A row gives
+    the first candidate inside radius2 as (message, dist2), else None."""
+    d2, syms, best_d2 = _gmd_inner(cc, words)
+    totals = best_d2.sum(axis=1, dtype=np.int64)
+    clean = ~cc.gmd.syndrome(syms).any(axis=1)
+    hit = clean & (totals <= radius2)
+    out = [None] * len(syms)
+    for r, msg in zip(np.flatnonzero(hit).tolist(), cc.gmd.message(syms[hit])):
+        out[r] = (msg, int(totals[r]))
+    for r in np.flatnonzero(~clean).tolist():
+        out[r] = _gmd_sweep(cc, d2[r], syms[r], best_d2[r], radius2)
+    return out
 
 
 def _gmd_sweep(cc: ConcatCode, d2, syms, best_d2, radius2: int):

@@ -3,8 +3,9 @@ F = GF(2^b) with K = GF(2), so each field symbol packs b message bits and a
 binary inner code re-encodes it.  Two local decoders read the core's curves:
 
 - smooth_local_decode: t_smooth curves, unique decoding per curve (message
-  and dist2), and an exact confidence pair (p0, p1) with p0 + p1 == 1
-  (Fractions throughout).
+  and dist2), and an exact confidence pair (p0, p1) with p0 + p1 == 1.
+  smooth_confidence_from_words decodes one target's or a stacked plan's
+  curve words with one unique_decode call and folds each target in integers.
 - decode_with_advice: t_advice iterations of higher-degree curves pinned at
   uncorrupted advice blocks, and a majority vote; raises AdviceMismatch when
   no iteration ever produces a unique candidate.  Each iteration list-decodes
@@ -29,8 +30,8 @@ import numpy as np
 from .gf import GF, FieldSpec, mul_lut, poly_interpolate, powers
 from .codes import (LinearCode, _rref, codebook, concat,
                     list_decode_concat, rs_code, unique_decode)
-from .ldc_core import (CurvePlan, RmLdc, SmoothPlan, curve_plan, gather,
-                       sample_smooth_plan)
+from .ldc_core import (CurvePlan, RmLdc, SmoothPlan, block_positions, curve_blocks,
+                       gather, sample_smooth_plan)
 
 
 class AdviceMismatch(Exception):
@@ -120,34 +121,36 @@ class BinaryLdcParams(RmLdc):
 # ---------------------------------------------------------------------------
 # smooth local decoding
 
-def smooth_confidence_from_words(params: BinaryLdcParams, plan: SmoothPlan,
-                                 words) -> Confidence:
-    """Fold per-curve unique decodings into the exact (p0, p1) pair: a curve
-    decoded at relative distance delta weighs 1/2 - delta for the bit its h(0)
-    gives and delta for the other; a failed one weighs 1/4 for each."""
-    t = params.t_smooth
-    L = 2 * params.curve_code.code_len  # dist2 denominator
-    acc = {0: Fraction(0), 1: Fraction(0)}
-    for word in words:
-        got = unique_decode(params.curve_code, word)
-        if got is None:
-            acc[0] += Fraction(1, 4)
-            acc[1] += Fraction(1, 4)
-            continue
-        msg, d2 = got
-        bit = int(params.inner_words[params.pack(msg[:params.e])[0], plan.offset])
-        delta = Fraction(d2, L)
-        acc[bit] += delta
-        acc[1 - bit] += Fraction(1, 2) - delta
-    # p(b) collects the evidence against 1-b
-    return Confidence(p0=Fraction(2, t) * acc[1], p1=Fraction(2, t) * acc[0])
+def smooth_confidence_from_words(params: BinaryLdcParams, plan: SmoothPlan, words):
+    """The exact (p0, p1) pair of a one-target plan from its t_smooth curve
+    words, or one pair per target of a stacked plan from its words in the
+    plan's block order.  One unique_decode call decodes every curve word."""
+    got = unique_decode(params.curve_code, np.reshape(words, (-1, params.curve_code.code_len)))
+    failed = [g is None for g in got]
+    got = [g or (np.zeros(params.e, dtype=np.int64), 0) for g in got]   # folded as failed
+    bits = params.inner_words[params.pack(np.array([msg[:params.e] for msg, _ in got])),
+                              np.repeat(plan.offset, params.t_smooth)]
+    conf = _smooth_fold(bits, [d2 for _, d2 in got], failed, params.t_smooth,
+                        2 * params.curve_code.code_len)
+    return conf if np.ndim(plan.offset) else conf[0]
+
+
+def _smooth_fold(bits, d2, failed, t: int, n2: int) -> list:
+    """One Confidence per t consecutive curve outcomes.  A curve decoded at
+    relative distance delta = d2 / n2 gives weight 1/2 - delta to its h(0)
+    bit and delta to the other, a failed one 1/4 to each, and p(b) is 2/t
+    times b's weight: in units of 1 / (4 t n2), the integers 4 n2 - 8 d2,
+    8 d2 and 2 n2."""
+    d8, den = 8 * np.asarray(d2, dtype=np.int64), 4 * t * n2
+    to0 = np.where(failed, 2 * n2, np.where(bits, d8, 4 * n2 - d8)).reshape(-1, t).sum(1).tolist()
+    to1 = np.where(failed, 2 * n2, np.where(bits, 4 * n2 - d8, d8)).reshape(-1, t).sum(1).tolist()
+    return [Confidence(Fraction(a, den), Fraction(b, den)) for a, b in zip(to0, to1)]
 
 
 def smooth_local_decode(oracle, i: int, params: BinaryLdcParams, rng,
                         index: str = "message") -> Confidence:
     plan = sample_smooth_plan(params, i, rng, index=index)
-    words = [gather(oracle, c.positions) for c in plan.curves]
-    return smooth_confidence_from_words(params, plan, words)
+    return smooth_confidence_from_words(params, plan, gather(oracle, plan.positions))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +159,7 @@ def smooth_local_decode(oracle, i: int, params: BinaryLdcParams, rng,
 def sample_advice(params: BinaryLdcParams, rng) -> AdvicePositions:
     """k_adv independent uniform RM points, expanded to whole inner blocks."""
     points = tuple(rng.randrange(params.num_blocks) for _ in range(params.k_adv))
-    return AdvicePositions(points, tuple(params.block_positions(points).tolist()))
+    return AdvicePositions(points, tuple(block_positions(points, params.block_len).tolist()))
 
 
 @dataclass
@@ -179,12 +182,13 @@ def sample_advice_plan(params: BinaryLdcParams, i: int, adv: AdvicePositions,
     its = []
     for _ in range(params.t_advice):
         nodes = rng.sample(params.nonzero_points, params.k_adv)
-        coord_polys = [
-            poly_interpolate(params.F, [(0, v0[a])] + [
-                (nodes[l], anchors[l][a]) for l in range(params.k_adv)])
-            for a in range(params.m)]
-        cv = curve_plan(params, coord_polys)
-        its.append(AdviceIterationPlan(cv.blocks, cv.positions, nodes))
+        coefs = np.zeros((params.k_adv, params.m), dtype=np.intp)
+        for a in range(params.m):
+            poly = poly_interpolate(params.F, [(0, v0[a])] + [
+                (nodes[l], anchors[l][a]) for l in range(params.k_adv)])[1:]
+            coefs[:len(poly), a] = poly
+        blocks = curve_blocks(params, block, coefs).tolist()
+        its.append(AdviceIterationPlan(blocks, block_positions(blocks, params.block_len), nodes))
     return AdvicePlan(block, offset, its)
 
 

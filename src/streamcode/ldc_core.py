@@ -10,7 +10,9 @@ point index, inner position).  The binary code is the case K = GF(2), e = b.
 The restriction of the code to a curve through q - 1 nonzero parameters is a
 Reed-Solomon/inner concatenation (`curve_code` for degree-2 curves); local
 decoders sample curves through the point that carries their target, gather
-the blocks along them, and hand the words to their own confidence rule.
+the blocks along them, and hand the words to their own confidence rule.  One
+sample_smooth_plan call plans one target or a stack of them, whose curves
+curve_blocks walks at once; positions are built only for callers that read them.
 
 Parameter classes mix in RmLdc and provide K, F, e, m, d, inner, eps,
 t_smooth and msg_len (the number of K-symbols carried); __post_init__ calls
@@ -22,11 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .codes import concat, make_systematic, pack_table, rm_code, rs_code
-from .gf import mul_lut, powers
+from .gf import mul_arrays, powers
 
 
 class RmLdc:
@@ -51,8 +54,11 @@ class RmLdc:
         self.pack_tbl = pack_table(self.K, self.F)
         self._digit_weights = self.K.q ** np.arange(self.e - 1, -1, -1, dtype=np.int64)
         self.inner_words = self.curve_code.inner_words   # (q_F, L)
-        # row j: lambda^j over the nonzero lambdas, for curve coefficients j < q
+        # row j < q: lambda^j over the nonzero lambdas; then c * x for all c, x
         self.powers = np.ascontiguousarray(powers(self.F, self.nonzero_points, self.F.q).T)
+        self.mul_table = mul_arrays(self.F, *np.ix_(range(self.F.q), range(self.F.q)))
+        # bit offset of each coordinate in a block index, first one highest
+        self.coord_shifts = self.F.k * np.arange(self.m - 1, -1, -1)[:, None]
 
     # -- derived sizes ------------------------------------------------------
 
@@ -88,13 +94,6 @@ class RmLdc:
         q = self.F.q
         return tuple((p // q ** (self.m - 1 - a)) % q for a in range(self.m))
 
-    def point_index(self, coords):
-        """Block index of an RM point; coordinates may be ints or arrays."""
-        p = 0
-        for c in coords:
-            p = p * self.F.q + c
-        return p
-
     def sym_position(self, i: int) -> int:
         """Codeword position where message symbol i reads back (systematic)."""
         block, offset = self.target(i, "message")
@@ -109,14 +108,6 @@ class RmLdc:
         if index == "codeword":
             return divmod(i, self.block_len)
         raise ValueError("index must be 'message' or 'codeword'")
-
-    def block_positions(self, blocks) -> np.ndarray:
-        """Codeword positions of whole blocks, block-major."""
-        L = self.block_len
-        out = np.empty((len(blocks), L), dtype=np.int64)
-        out[:] = np.arange(L)   # in place: no broadcast temporaries
-        out += np.asarray(blocks, dtype=np.int64)[:, None] * L
-        return out.reshape(-1)
 
     def pack(self, syms) -> np.ndarray:
         """K-symbols, e per group, to the F-symbols they pack into."""
@@ -141,6 +132,12 @@ def encode(params: RmLdc, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # curves
 
+def block_positions(blocks, block_len: int) -> np.ndarray:
+    """Codeword positions of whole blocks, block-major."""
+    return (np.asarray(blocks, dtype=np.int64)[..., None] * block_len
+            + np.arange(block_len)).reshape(-1)
+
+
 @dataclass
 class CurvePlan:
     blocks: list          # block index per lambda (lambda = 1..q-1 in order)
@@ -149,43 +146,50 @@ class CurvePlan:
 
 @dataclass
 class SmoothPlan:
-    v0: tuple             # curve base point (coordinates)
+    """t_smooth curves through the point carrying one target, or through those
+    of P targets: then offset is (P,) and blocks (P, t_smooth, q - 1)."""
+
     offset: int           # inner position of the target symbol
-    curves: list          # t_smooth CurvePlans
+    blocks: np.ndarray    # (t_smooth, q - 1) block index per curve and lambda
+    block_len: int
 
-    @property
+    @cached_property
     def positions(self) -> np.ndarray:
-        return np.concatenate([c.positions for c in self.curves])
+        """All codeword positions, curve-major, then lambda-major."""
+        return block_positions(self.blocks, self.block_len)
+
+    @cached_property
+    def curves(self) -> list:
+        """One CurvePlan per curve of a one-target plan."""
+        rows = self.positions.reshape(len(self.blocks), -1)
+        return [CurvePlan(b, pos) for b, pos in zip(self.blocks.tolist(), rows)]
 
 
-def curve_plan(params: RmLdc, coord_polys) -> CurvePlan:
-    """Blocks and positions of the curve lambda -> (c_a(lambda))_a, one
-    coefficient list per coordinate, over the nonzero lambdas."""
-    F = params.F
-    coords = []
-    for poly in coord_polys:
-        c = np.zeros(F.q - 1, dtype=np.int64)
-        for j, coef in enumerate(poly):
-            if coef:
-                c ^= mul_lut(F, coef)[params.powers[j]]
-        coords.append(c)
-    blocks = params.point_index(coords)
-    return CurvePlan(blocks.tolist(), params.block_positions(blocks))
+def curve_blocks(params: RmLdc, base, coefs) -> np.ndarray:
+    """Blocks at the nonzero lambdas of each curve through block `base`
+    (broadcast over the curves) at lambda = 0 whose coordinate a has
+    coefficient coefs[..., j - 1, a] at lambda^j.  Coordinates fill disjoint
+    bit fields of a block index (q is a power of two), so one product-table
+    lookup, one shift and one XOR reduction walk every curve of the stack."""
+    coefs = np.asarray(coefs, dtype=np.intp)
+    terms = params.mul_table[coefs[..., None], params.powers[1:coefs.shape[-2] + 1, None]]
+    terms <<= params.coord_shifts
+    return np.bitwise_xor.reduce(terms, axis=(-3, -2)) ^ np.asarray(base)[..., None]
 
 
-def sample_smooth_plan(params: RmLdc, i: int, rng, index: str = "message") -> SmoothPlan:
+def sample_smooth_plan(params: RmLdc, i, rng, index: str = "message") -> SmoothPlan:
     """Plan t_smooth random degree-2 curves through the point that carries
     index i (a message symbol by default, a raw codeword position with
-    index="codeword").  Each curve draws v1, then v2, coordinate by coordinate."""
-    block, offset = params.target(i, index)
-    v0 = params.point_coords(block)
-    q, m = params.F.q, params.m
-    curves = []
-    for _ in range(params.t_smooth):
-        v1 = [rng.randrange(q) for _ in range(m)]
-        v2 = [rng.randrange(q) for _ in range(m)]
-        curves.append(curve_plan(params, [[v0[a], v1[a], v2[a]] for a in range(m)]))
-    return SmoothPlan(v0, offset, curves)
+    index="codeword"), or one stacked plan for a sequence of indices.  Each
+    curve draws v1, then v2, coordinate by coordinate, in target order."""
+    q, m, t = params.F.q, params.m, params.t_smooth
+    targets = np.array([params.target(j, index) for j in (i if np.ndim(i) else [i])],
+                       dtype=np.int64).reshape(-1, 2)
+    coefs = np.array([rng.randrange(q) for _ in range(len(targets) * t * 2 * m)],
+                     dtype=np.intp).reshape(-1, t, 2, m)
+    plan = SmoothPlan(targets[:, 1], curve_blocks(params, targets[:, :1], coefs),
+                      params.block_len)
+    return plan if np.ndim(i) else SmoothPlan(int(plan.offset[0]), plan.blocks[0], plan.block_len)
 
 
 def gather(oracle, positions) -> np.ndarray:

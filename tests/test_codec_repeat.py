@@ -6,17 +6,22 @@ is (1-eps)*copies/2 = 16/5, so phase 1 needs at least 4 clean copies; two
 accepted copies then finish the harvest.
 """
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from streamcode.channel import AttackStrategy, ErrorBudget, corrupt
+from streamcode.cli import _jsonable
 from streamcode.codec_repeat import (RepeatParams, _read_copy, dec_repeat,
                                      enc_repeat, errcount_property_probe)
 from streamcode.gf import ERASE, GF
 from streamcode.codes import extended_hamming_code
-from streamcode.ldc_binary import BinaryLdcParams
+from streamcode.ldc_binary import BinaryLdcParams, _smooth_fold
+from streamcode.profiles import build_params, load_profile
 from streamcode.stream import SymbolStream
 
 
@@ -227,3 +232,75 @@ def test_read_copy_delivers_erasures():
     assert rows[1].reshape(-1).tolist() == [1, ERASE, 0, 1] * 2
     assert (stream.cursor, stream.total_read) == (len(word), 8)
     assert type(stream.cursor) is int and type(stream.total_read) is int
+
+
+# (report, decoder rng state after dec_repeat) SHA-256 digests of repeat-toy
+# trials 0-9 at seed 0, measured while phase 1 still sampled, read and
+# decoded one tracker at a time
+DRAW_ORDER_PIN = [
+    ("9b54e40a6d9e0e22071ae833fc9f3bd20537e29c17067051f8ae4548a0bfb379",
+     "c21c0d4bb2da9712f8736a81076bf59cd90655efa078b13af98a14d219fe5d6f"),
+    ("1f9846c2e01066d9a86a5867ab5def139daa301b791ac382ade687dabf875fa6",
+     "9887cefc609e2572e6c9e4761e1a07ebd481e339800da1e02e4ee390c70f254a"),
+    ("e05f3da6a99a742e59651b4921da6e6bdc02c19e7d551b80d33612c8ac46a24f",
+     "e8d506ebbce8ee1944c432d3446dd72db3e2ae06c7f91e793cd1d0b39059366d"),
+    ("8ad5038009a030b9acb8cc8715d3bc1ff72f9ed828ae67265496fe5d5dede86c",
+     "68a2b51d9edafac2e40025617928e6778b7cc3a122cdd88632c1490e0b65e9ee"),
+    ("eaed1f40130fd59c19fb91947f64dedb9e62e570c79ef1cf86b9ec2308677970",
+     "9c222148aa5ab355b890e46e8108659bdb7ed34fdaa1d6f05da6894c9d853295"),
+    ("9b0ac7569090c189fc7ce2f1740cbda62b15cf11ba1c60f0ec51f88abbbab345",
+     "e6bad6fc5bfe9b481a2841a4e91b07f7da6a1ee3b758d625c95ed7c0c7342cf5"),
+    ("d7447ee665aeef3bba8551a21548e20845691e6ca4c9ef8158e220fd56f85e7b",
+     "7a40404f3acc977e8432afb90479656938a956310ed4d7bb3a56b90c37bcc925"),
+    ("00a2a8745085d7c1c5c6dcd246736dadfdf51d72a346ee874ecdd2de54f7918c",
+     "1212988ea6d14bbf4eaf6cd7ee2e4765857da26e4b393c65d39d1392d7ed7044"),
+    ("c39cecc90cc4da9071cd923bc47808e893ab7e2326f6c9964804bbf547b2aa6f",
+     "eb0ec329825760e1de61b775e863eea3ad0adcff87c483aba7c849e3e76d15b1"),
+    ("0089e3412125b78bdbd6ac3bd35076809fa3f5133b3f4a2b0bbca1717ea04940",
+     "7d163c58377464b10db40c23a78106a79faa9a870aa8cb9e25659606487f27a9"),
+]
+
+
+def test_draw_order_pinned():
+    """Reports and final decoder rng states of ten repeat-toy trials, seeded
+    as `streamcode run` seeds them: a reordered draw changes the rng state
+    even where no report moves."""
+    params = build_params(load_profile("repeat-toy"))
+    got = []
+    for trial in range(10):
+        x = np.random.default_rng([0, trial]).integers(0, 2, size=params.msg_bits)
+        word = enc_repeat(params, x.astype(np.int32))
+        bad = corrupt(word, AttackStrategy("uniform", {}),
+                      ErrorBudget(rho=Fraction(1, 20), m=len(word)),
+                      random.Random(f"0:{trial}:chan"))
+        rng = random.Random(f"0:{trial}:dec")
+        report = json.dumps(_jsonable(dec_repeat(params, SymbolStream(bad), rng).report()),
+                            sort_keys=True)
+        got.append(tuple(hashlib.sha256(text.encode()).hexdigest()
+                         for text in (report, repr(rng.getstate()))))
+    assert got == [tuple(pin) for pin in DRAW_ORDER_PIN]
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 5, 6])
+def test_integer_fold_equals_fraction_fold(t):
+    """The integer confidence fold against the Fraction fold it replaces:
+    acc[b] collects the evidence against b, 1/4 each from a failed curve,
+    d2/n2 against the decoded bit and 1/2 - d2/n2 against the other, and
+    p(b) = 2/t * acc[1 - b]."""
+    rng = np.random.default_rng(t)
+    n2 = 2 * 675
+    bits = rng.integers(0, 2, (40, t))
+    d2 = rng.integers(0, n2 + 1, (40, t))
+    failed = rng.random((40, t)) < 0.3
+    got = _smooth_fold(bits.reshape(-1), d2.reshape(-1), failed.reshape(-1), t, n2)
+    assert len(got) == 40
+    for conf, row in zip(got, zip(bits.tolist(), d2.tolist(), failed.tolist())):
+        acc = {0: Fraction(0), 1: Fraction(0)}
+        for bit, dist2, fail in zip(*row):
+            if fail:
+                acc[0] += Fraction(1, 4)
+                acc[1] += Fraction(1, 4)
+                continue
+            acc[bit] += Fraction(dist2, n2)
+            acc[1 - bit] += Fraction(1, 2) - Fraction(dist2, n2)
+        assert (conf.p0, conf.p1) == (Fraction(2, t) * acc[1], Fraction(2, t) * acc[0])

@@ -406,6 +406,61 @@ def test_gmd_syndrome_first_matches_sweep(make, flips, radius2):
             assert got is None or (np.array_equal(got[0], swept[0]) and got[1] == swept[1])
 
 
+def _repeat_unit_curve_code():
+    from streamcode.profiles import build_params, load_profile
+    return build_params(load_profile("repeat-unit")).ldc.curve_code
+
+
+def _same_decodes(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        assert g is None or (np.array_equal(g[0], w[0]) and g[1] == w[1])
+
+
+@pytest.mark.parametrize("make, flips, radius2", [
+    (_repeat_toy_curve_code, 8, 215),
+    (_repeat_unit_curve_code, 1, 20),   # 15 x 1 flip: dist2 30
+], ids=["repeat-toy-curve", "repeat-unit-curve"])
+def test_unique_decode_stack_matches_rows(make, flips, radius2):
+    """One call on a stack gives, row by row, what each word gives alone,
+    over zero-syndrome rows inside and outside radius2, rows whose nonzero
+    syndrome sends them through the sweep, rows with erasures and uniformly
+    random rows; a stacked int8 copy of the words decodes the same."""
+    code = make()
+    rng = np.random.default_rng(code.code_len)
+    stack = np.array([w for w, _, _ in _gmd_cases(code, rng, flips, radius2)]
+                     + list(rng.integers(0, 2, (4, code.code_len))), dtype=np.int32)
+    _, syms, best_d2 = _gmd_inner(code, stack)
+    zero = ~code.gmd.syndrome(syms).any(axis=1)
+    inside = best_d2.sum(axis=1) <= radius2
+    assert (zero & inside).any() and (zero & ~inside).any() and (~zero).any()
+    assert (stack == ERASE).any(axis=1).sum() >= 12
+    got = unique_decode(code, stack, radius2)
+    _same_decodes(got, [unique_decode(code, w, radius2) for w in stack])
+    _same_decodes(unique_decode(code, stack.astype(np.int8), radius2), got)
+    assert sum(g is None for g in got) >= 12 and sum(g is not None for g in got) >= 12
+    if code.msg_space <= 1 << 12:   # repeat-unit: the brute-force oracle
+        for w, g in zip(stack, got):
+            msg, d2 = nearest_codeword_bruteforce(code, w)
+            _same_decodes([g], [(msg, d2) if d2 <= radius2 else None])
+
+
+def test_unique_decode_stack_bruteforce_route():
+    """A stack on a code without RS-outer structure takes the brute-force
+    fallback, row by row equal to each word alone and to the oracle."""
+    cc = toy_concat()
+    plain = LinearCode(cc.field, cc.gen, dist2_bound=cc.dist2_bound)
+    rng = np.random.default_rng(3)
+    stack = rng.integers(-1, 2, (40, plain.code_len))
+    got = unique_decode(plain, stack)
+    _same_decodes(got, [unique_decode(plain, w) for w in stack])
+    radius2 = (plain.dist2_bound - 1) // 2
+    want = [nearest_codeword_bruteforce(plain, w) for w in stack]
+    _same_decodes(got, [mw if mw[1] <= radius2 else None for mw in want])
+    assert any(g is None for g in got) and any(g is not None for g in got)
+
+
 @pytest.mark.parametrize("n", [7, 8, 15])
 def test_berlekamp_welch_random_errors(n):
     """Up to (n - 7) // 2 errors decode to the sent polynomial of degree < 7;
