@@ -66,10 +66,14 @@ class ErrorBudget:
         return s, e
 
 
+# the options each strategy needs; copy_kill also takes an optional target_copy
+STRATEGY_OPTIONS = {"uniform": (), "burst": (), "copy_kill": ("copy_len",),
+                    "blockzero": ("block_len", "window_step"), "erasure_mix": ()}
+
+
 @dataclass
 class AttackStrategy:
-    """name in {uniform, burst, copy_kill, blockzero, erasure_mix} plus
-    strategy-specific options (copy_len, target_copy, block_len, window_step)."""
+    """name, a key of STRATEGY_OPTIONS, and the options it needs."""
 
     name: str
     options: dict = dc_field(default_factory=dict)

@@ -58,9 +58,17 @@ def _write_report(report: dict, path: str | None):
         print(text)
 
 
-def _load_valid_profile(name: str) -> dict:
+def _load_valid_profile(name: str, codec: str | None = None,
+                        strategy: str | None = None) -> dict:
+    """The profile, its strategy overridden if one is given; exit 2 when it
+    is invalid or, given a codec, is not a profile of that codec."""
     prof = load_profile(name)
+    if strategy:
+        prof["strategy"] = strategy
     errors = validate_profile(prof)
+    if codec and prof.get("codec") != codec:
+        errors.append(f"this subcommand needs a {codec} profile, "
+                      f"not codec {prof.get('codec')!r}")
     if errors:
         for err in errors:
             print(f"profile error: {err}", file=sys.stderr)
@@ -84,7 +92,7 @@ def _attack(prof: dict, params, rho: Fraction, word_len: int):
 # encode / decode / corrupt subcommands
 
 def cmd_repeat_encode(args) -> int:
-    prof = _load_valid_profile(args.profile)
+    prof = _load_valid_profile(args.profile, "repeat")
     params = build_params(prof)
     msg, field_k = read_stream_file(args.infile)
     if field_k != 0:
@@ -98,7 +106,7 @@ def cmd_repeat_encode(args) -> int:
 
 
 def cmd_repeat_decode(args) -> int:
-    prof = _load_valid_profile(args.profile)
+    prof = _load_valid_profile(args.profile, "repeat")
     params = build_params(prof)
     if args.budget_bits is not None:
         params.budget_bits = args.budget_bits
@@ -129,7 +137,7 @@ def cmd_repeat_decode(args) -> int:
 
 
 def cmd_linear_encode(args) -> int:
-    prof = _load_valid_profile(args.profile)
+    prof = _load_valid_profile(args.profile, "tensor")
     params = build_params(prof)
     msg, field_k = read_stream_file(args.infile)
     if field_k != 0:
@@ -143,7 +151,7 @@ def cmd_linear_encode(args) -> int:
 
 
 def cmd_linear_decode(args) -> int:
-    prof = _load_valid_profile(args.profile)
+    prof = _load_valid_profile(args.profile, "tensor")
     params = build_params(prof)
     with open(args.functional) as fh:
         ell = word_from_hex(GF(1), fh.read().strip())
@@ -169,15 +177,12 @@ def cmd_linear_decode(args) -> int:
 
 
 def cmd_corrupt(args) -> int:
-    prof = _load_valid_profile(args.profile)
+    prof = _load_valid_profile(args.profile, strategy=args.strategy)
     params = build_params(prof)
     rho, _, _ = channel_spec(prof)
     if args.rho is not None:
         rho = Fraction(args.rho)
     word, field_k = read_stream_file(args.infile)
-    if args.strategy:
-        prof = dict(prof)
-        prof["strategy"] = args.strategy
     strategy, budget = _attack(prof, params, rho, len(word))
     bad = corrupt(word, strategy, budget, _chan_rng(args.seed, "one", "chan"),
                   field_k)

@@ -13,9 +13,9 @@ Encoding tiles the base encoding k times.  The decoder runs two phases:
   Phase 2 (harvesting): each further copy is screened by comparing its v
   checksum positions against the settled values; a copy with mismatch count
   c below the acceptance threshold contributes the next r_out message bits
-  via advice decoding against the settled advice block.  A copy that fails
-  the screen, or whose advice decoding cannot pin a unique candidate, is
-  skipped whole.
+  via advice decoding against the settled advice block (one advice plan,
+  one read and one decode per copy).  A copy that fails the screen, or
+  whose advice decoding cannot pin a unique candidate, is skipped whole.
 
 The stream is consumed strictly left to right (gaps are skipped, never
 re-read), output bits are written to the tape in index order, and the
@@ -211,38 +211,33 @@ def dec_repeat(params: RepeatParams, stream: SymbolStream, rng,
             # ---- phase 2: screen the copy, then harvest r_out bits
             pending = list(range(next_bit,
                                  min(next_bit + params.r_out, params.msg_bits)))
-            plans = [sample_advice_plan(ldc, i, adv, rng, index="message")
-                     for i in pending]
-            blocks = np.array([[it.blocks for it in pl.iterations] for pl in plans],
-                              dtype=np.int64)
+            plan = sample_advice_plan(ldc, pending, adv, rng, index="message")
             state = {
                 "copy": ell,
                 "next": next_bit,
                 "trackers": trackers,
                 "settled": settled,
-                "nodes": np.array([nd for pl in plans for it in pl.iterations
-                                   for nd in it.nodes], dtype=np.int64),
-                "plan_blocks": blocks,
+                "nodes": plan.nodes,
+                "plan_blocks": plan.blocks,
                 "check_vals": np.full(params.v, -1, dtype=np.int64),
-                "bufs": np.zeros(blocks.size * L, dtype=np.int8),
+                "bufs": np.zeros(plan.blocks.size * L, dtype=np.int8),
             }
             ledger.checkpoint(state_size_bits(state), label=f"copy{ell}/harvest")
             try:
                 rows = _read_copy(stream, L, NB,
-                                  np.concatenate([blocks.reshape(-1), check_blocks]))
+                                  np.concatenate([plan.blocks.reshape(-1), check_blocks]))
             except StreamExhausted:
                 exhausted = True
                 break
             copies_used = ell + 1
-            check_vals = rows[blocks.size:][np.arange(params.v), check_offs]
-            words = rows[:blocks.size].reshape(len(plans), ldc.t_advice, -1)
+            check_vals = rows[plan.blocks.size:][np.arange(params.v), check_offs]
             c = int((check_vals != settled[u:]).sum())
             passed = Fraction(c) < params.threshold
             wrote = False
             if passed:
                 try:
-                    bits = [decode_advice_from_words(ldc, pl, words[pi], settled[:u])
-                            for pi, pl in enumerate(plans)]
+                    bits = decode_advice_from_words(ldc, plan, rows[:plan.blocks.size],
+                                                    settled[:u])
                 except AdviceMismatch:
                     advice_failures += 1
                 else:
@@ -250,7 +245,7 @@ def dec_repeat(params: RepeatParams, stream: SymbolStream, rng,
                         tape.write(i, int(bval))
                     next_bit = pending[-1] + 1
                     wrote = True
-            del rows, words
+            del rows
             per_copy.append({"phase": 2, "c": c, "passed": passed, "wrote": wrote})
 
     success = next_bit >= params.msg_bits

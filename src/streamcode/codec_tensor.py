@@ -305,9 +305,8 @@ def _node_values(params: TensorParams, a: int, T: tuple, ell: LinearFunctional,
         for n in live:
             values = {j: recurse_linear(params, a - 1, T + (j,), child_ell, qlists, rngs[n],
                                         node_cache) for j in heads}
-            words += [[ERASE if values[j] is None else values[j] for j in cv.positions]
-                      for cv in plan.curves]
-        decoded, c = decode_curves_large(params.ldc, words), len(plan.curves)
+            words += [ERASE if values[j] is None else values[j] for j in plan.positions.tolist()]
+        decoded, c = decode_curves_large(params.ldc, words), len(plan.blocks)
         for s, n in enumerate(live):
             got = decoded[s * c:(s + 1) * c]
             sigma, p = confidence_from_decoded(params.ldc, plan, got).merged()[:2]
@@ -325,7 +324,7 @@ def _fill_level1(params: TensorParams, nodes: list, qlists: dict,
     Level 1 draws no coins, so an index past a ⊥ one only costs a scan."""
     K, plans = params.K, qlists[1].plans
     heads = sorted({int(p) for lst in qlists[1].lists for p in lst})
-    pos = [np.array([cv.positions for cv in plan.curves]) for plan in plans]
+    pos = [plan.positions.reshape(len(plan.blocks), -1) for plan in plans]
     rows, spans, words = {}, {}, []
     for T, ell in nodes:
         if T not in rows:  # base outcome of block T + (j,) at j; -1 for ⊥ or unread

@@ -12,6 +12,8 @@ binary inner code re-encodes it.  Two local decoders read the core's curves:
   its curve word over the advice coset only: the curve polynomials h that
   take the advice symbols at the iteration's nodes, an affine subspace of
   codimension k_adv that advice_coset enumerates as codebook indices.
+  An AdvicePlan is a SmoothPlan plus those nodes, so one call plans, and one
+  call decodes, a stack of targets (reading the advice once).
 
 Every decoder is split into a plan-sampling half (which positions to read)
 and a value-consuming half, so single-pass stream drivers can schedule reads
@@ -30,8 +32,8 @@ import numpy as np
 from .gf import GF, FieldSpec, mul_lut, poly_interpolate, powers
 from .codes import (LinearCode, _rref, codebook, concat,
                     list_decode_concat, rs_code, unique_decode)
-from .ldc_core import (CurvePlan, RmLdc, SmoothPlan, block_positions, curve_blocks,
-                       gather, sample_smooth_plan)
+from .ldc_core import (RmLdc, SmoothPlan, block_positions, curve_blocks, gather,
+                       plan_targets, sample_smooth_plan)
 
 
 class AdviceMismatch(Exception):
@@ -163,33 +165,31 @@ def sample_advice(params: BinaryLdcParams, rng) -> AdvicePositions:
 
 
 @dataclass
-class AdviceIterationPlan(CurvePlan):
-    nodes: list           # distinct nonzero lambdas pinning the advice points
+class AdvicePlan(SmoothPlan):
+    """A SmoothPlan of t_advice curves, whose nodes (t_advice, k_adv) are the
+    distinct nonzero lambdas where each meets the advice points, in advice
+    order; (P, t_advice, k_adv) for a stack of P targets."""
+
+    nodes: np.ndarray
 
 
-@dataclass
-class AdvicePlan:
-    target_block: int
-    offset: int
-    iterations: list
-
-
-def sample_advice_plan(params: BinaryLdcParams, i: int, adv: AdvicePositions,
+def sample_advice_plan(params: BinaryLdcParams, i, adv: AdvicePositions,
                        rng, index: str = "message") -> AdvicePlan:
-    block, offset = params.target(i, index)
-    v0 = params.point_coords(block)
+    """The advice curves of index i, or one stacked plan for a sequence of
+    indices.  Curves draw their nodes in target, then iteration order, and
+    pass through the target at lambda = 0 and the advice points at the nodes."""
+    F, m, ka, t = params.F, params.m, params.k_adv, params.t_advice
+    targets, one = plan_targets(params, i, index)
     anchors = [params.point_coords(p) for p in adv.rm_points]
-    its = []
-    for _ in range(params.t_advice):
-        nodes = rng.sample(params.nonzero_points, params.k_adv)
-        coefs = np.zeros((params.k_adv, params.m), dtype=np.intp)
-        for a in range(params.m):
-            poly = poly_interpolate(params.F, [(0, v0[a])] + [
-                (nodes[l], anchors[l][a]) for l in range(params.k_adv)])[1:]
-            coefs[:len(poly), a] = poly
-        blocks = curve_blocks(params, block, coefs).tolist()
-        its.append(AdviceIterationPlan(blocks, block_positions(blocks, params.block_len), nodes))
-    return AdvicePlan(block, offset, its)
+    nodes = [rng.sample(params.nonzero_points, ka) for _ in range(len(targets) * t)]
+    coefs = np.zeros((len(targets) * t, ka, m), dtype=np.intp)
+    for c, (block, nd) in enumerate(zip(np.repeat(targets[:, 0], t).tolist(), nodes)):
+        for a, x in enumerate(params.point_coords(block)):
+            poly = poly_interpolate(F, [(0, x)] + [(lam, pt[a]) for lam, pt in zip(nd, anchors)])[1:]
+            coefs[c, :len(poly), a] = poly
+    blocks = curve_blocks(params, targets[:, :1], coefs.reshape(-1, t, ka, m))
+    return AdvicePlan(targets[one, 1], blocks[one], params.block_len,
+                      np.array(nodes, dtype=np.int64).reshape(-1, t, ka)[one])
 
 
 def advice_symbols(params: BinaryLdcParams, adv_values) -> list:
@@ -222,25 +222,31 @@ def advice_coset(params: BinaryLdcParams, nodes, syms) -> np.ndarray:
 
 
 def decode_advice_from_words(params: BinaryLdcParams, plan: AdvicePlan,
-                             words, adv_values) -> int:
-    """Majority vote over the iterations that end with exactly one candidate
-    in the advice coset within the list-decoding radius; each votes that
-    candidate's bit at the target.  An advice block that is not an inner
-    codeword pins no coset, so then no iteration scans or votes."""
+                             words, adv_values):
+    """Per target, a majority vote over the iterations that end with exactly
+    one candidate in the advice coset within the list-decoding radius; each
+    votes that candidate's bit at the target.  Words come in the plan's block
+    order; one bit, or a list for a stacked plan.  Raises AdviceMismatch at
+    the first target with no vote, so at once on an advice block that is not
+    an inner codeword: it pins no coset."""
     syms = advice_symbols(params, adv_values)
-    votes = []
-    if None not in syms:
-        for it, word in zip(plan.iterations, words):
+    if None in syms:
+        raise AdviceMismatch("an advice block is not an inner codeword")
+    t = params.t_advice
+    nodes = np.reshape(plan.nodes, (-1, t, params.k_adv))
+    words, bits = np.reshape(words, (len(nodes), t, -1)), []
+    for nd, ws, offset in zip(nodes, words, np.reshape(plan.offset, -1).tolist()):
+        votes = []
+        for it_nodes, word in zip(nd, ws):
             cands = list_decode_concat(params.advice_code, word, params.eps,
-                                       idx=advice_coset(params, it.nodes, syms))
+                                       idx=advice_coset(params, it_nodes, syms))
             if len(cands) == 1:
                 h0 = int(params.pack(cands[0][0])[0])
-                votes.append(int(params.inner_words[h0, plan.offset]))
-    if not votes:
-        raise AdviceMismatch(
-            f"no unique candidate in any of {params.t_advice} iterations")
-    ones = sum(votes)
-    return 1 if ones * 2 > len(votes) else 0
+                votes.append(int(params.inner_words[h0, offset]))
+        if not votes:
+            raise AdviceMismatch(f"no unique candidate in any of {t} iterations")
+        bits.append(1 if sum(votes) * 2 > len(votes) else 0)
+    return bits if np.ndim(plan.offset) else bits[0]
 
 
 def decode_with_advice(oracle, i: int, adv: AdvicePositions, adv_values,
@@ -248,8 +254,7 @@ def decode_with_advice(oracle, i: int, adv: AdvicePositions, adv_values,
     """Recover bit i given the true bits at the advice positions.  Raises
     AdviceMismatch when the advice never pins down a unique candidate."""
     plan = sample_advice_plan(params, i, adv, rng, index=index)
-    words = [gather(oracle, it.positions) for it in plan.iterations]
-    return decode_advice_from_words(params, plan, words, adv_values)
+    return decode_advice_from_words(params, plan, gather(oracle, plan.positions), adv_values)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ The restriction of the code to a curve through q - 1 nonzero parameters is a
 Reed-Solomon/inner concatenation (`curve_code` for degree-2 curves); local
 decoders sample curves through the point that carries their target, gather
 the blocks along them, and hand the words to their own confidence rule.  One
-sample_smooth_plan call plans one target or a stack of them, whose curves
-curve_blocks walks at once; positions are built only for callers that read them.
+sample_smooth_plan (or ldc_binary's sample_advice_plan) call plans one target
+or a stack, whose curves curve_blocks walks at once; positions are built only
+for callers that read them.
 
 Parameter classes mix in RmLdc and provide K, F, e, m, d, inner, eps,
 t_smooth and msg_len (the number of K-symbols carried); __post_init__ calls
@@ -139,15 +140,10 @@ def block_positions(blocks, block_len: int) -> np.ndarray:
 
 
 @dataclass
-class CurvePlan:
-    blocks: list          # block index per lambda (lambda = 1..q-1 in order)
-    positions: np.ndarray  # all codeword positions, lambda-major
-
-
-@dataclass
 class SmoothPlan:
     """t_smooth curves through the point carrying one target, or through those
-    of P targets: then offset is (P,) and blocks (P, t_smooth, q - 1)."""
+    of P targets: then offset is (P,) and blocks (P, t_smooth, q - 1).  One
+    curve's positions are a row of positions.reshape(len(blocks), -1)."""
 
     offset: int           # inner position of the target symbol
     blocks: np.ndarray    # (t_smooth, q - 1) block index per curve and lambda
@@ -157,12 +153,6 @@ class SmoothPlan:
     def positions(self) -> np.ndarray:
         """All codeword positions, curve-major, then lambda-major."""
         return block_positions(self.blocks, self.block_len)
-
-    @cached_property
-    def curves(self) -> list:
-        """One CurvePlan per curve of a one-target plan."""
-        rows = self.positions.reshape(len(self.blocks), -1)
-        return [CurvePlan(b, pos) for b, pos in zip(self.blocks.tolist(), rows)]
 
 
 def curve_blocks(params: RmLdc, base, coefs) -> np.ndarray:
@@ -183,13 +173,18 @@ def sample_smooth_plan(params: RmLdc, i, rng, index: str = "message") -> SmoothP
     index="codeword"), or one stacked plan for a sequence of indices.  Each
     curve draws v1, then v2, coordinate by coordinate, in target order."""
     q, m, t = params.F.q, params.m, params.t_smooth
-    targets = np.array([params.target(j, index) for j in (i if np.ndim(i) else [i])],
-                       dtype=np.int64).reshape(-1, 2)
+    targets, one = plan_targets(params, i, index)
     coefs = np.array([rng.randrange(q) for _ in range(len(targets) * t * 2 * m)],
                      dtype=np.intp).reshape(-1, t, 2, m)
-    plan = SmoothPlan(targets[:, 1], curve_blocks(params, targets[:, :1], coefs),
+    return SmoothPlan(targets[one, 1], curve_blocks(params, targets[:, :1], coefs)[one],
                       params.block_len)
-    return plan if np.ndim(i) else SmoothPlan(int(plan.offset[0]), plan.blocks[0], plan.block_len)
+
+
+def plan_targets(params: RmLdc, i, index: str):
+    """The (block, offset) row of each index in i, and the slice that keeps
+    the stack axis of a sequence i or drops it (0) for a scalar i."""
+    js, one = (i, slice(None)) if np.ndim(i) else ([i], 0)
+    return np.array([params.target(j, index) for j in js], dtype=np.int64).reshape(-1, 2), one
 
 
 def gather(oracle, positions) -> np.ndarray:

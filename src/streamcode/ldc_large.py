@@ -162,8 +162,7 @@ def confidence_from_words_large(params: LargeLdcParams, plan: SmoothPlan,
 def smooth_local_decode_large(oracle, i: int, params: LargeLdcParams, rng,
                               index: str = "message") -> ConfidenceDist:
     plan = sample_smooth_plan(params, i, rng, index=index)
-    words = [gather(oracle, c.positions) for c in plan.curves]
-    return confidence_from_words_large(params, plan, words)
+    return confidence_from_words_large(params, plan, gather(oracle, plan.positions))
 
 
 # ---------------------------------------------------------------------------

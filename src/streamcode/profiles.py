@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .gf import GF
+from .channel import STRATEGY_OPTIONS
 from .codes import (LinearCode, doubly_extended_rs, extended_hamming_code,
                     replicate, simplex_code)
 from .ldc_binary import BinaryLdcParams
@@ -220,6 +221,15 @@ def validate_profile(prof: dict) -> list:
                 int(value)
             except ValueError:
                 errors.append(f"{key}: not an integer: {value!r}")
+    strategy = prof.get("strategy")
+    if strategy is not None and strategy not in STRATEGY_OPTIONS:
+        errors.append(f"strategy: unknown {strategy!r} (known: {', '.join(STRATEGY_OPTIONS)})")
+    given = {key.split(".", 1)[1] for key in prof if key.startswith("strategy.")}
+    if codec == "repeat":
+        given.add("copy_len")   # the run harness kills one whole copy by default
+    for opt in STRATEGY_OPTIONS.get(strategy, ()):
+        if opt not in given:
+            errors.append(f"strategy {strategy} needs strategy.{opt}")
     inner = prof.get("override.inner")
     if inner is not None and inner not in INNER_CODES:
         errors.append(f"override.inner: unknown code {inner!r} "

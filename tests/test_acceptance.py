@@ -386,7 +386,7 @@ def test_c04_smooth_inequality_binary():
             i = rng.randrange(P_SMOOTH.n)
             plan = sample_smooth_plan(P_SMOOTH, i, rng)
             assert len(np.unique(plan.positions)) <= P_SMOOTH.queries_smooth
-            words = [gather(w, c.positions) for c in plan.curves]
+            words = gather(w, plan.positions).reshape(len(plan.blocks), -1)
             conf = smooth_confidence_from_words(P_SMOOTH, plan, words)
             p_true = conf.p1 if x[i] else conf.p0
             if not p_true > 1 - 2 * delta - P_SMOOTH.eps:
@@ -416,7 +416,7 @@ def test_c05_smooth_inequality_large_alphabet():
         i = rng.randrange(LT.r)
         plan = sample_smooth_plan(LT, i, rng)
         assert len(np.unique(plan.positions)) <= LT.queries
-        words = [gather(bad, c.positions) for c in plan.curves]
+        words = gather(bad, plan.positions).reshape(len(plan.blocks), -1)
         conf = confidence_from_words_large(LT, plan, words)
         p_true = conf.field_mass.get(int(x[i]), Fraction(0))
         if not p_true + conf.p_bot / 2 > 1 - delta - LT.eps:
@@ -444,9 +444,9 @@ def test_c06_advice_decoding():
             w[pos] ^= 1
         i = rng.randrange(P_ADVICE.n)
         plan = sample_advice_plan(P_ADVICE, i, adv, rng)
-        assert len(plan.iterations) == P_ADVICE.t_advice
-        for it in plan.iterations:
-            assert len(np.unique(it.positions)) <= \
+        assert len(plan.blocks) == len(plan.nodes) == P_ADVICE.t_advice
+        for row in plan.positions.reshape(len(plan.blocks), -1):
+            assert len(np.unique(row)) <= \
                 (P_ADVICE.F.q - 1) * P_ADVICE.block_len
         assert len(adv.positions) == P_ADVICE.advice_size
         try:
@@ -492,8 +492,8 @@ def test_c07_query_plan_properties():
     adv = sample_advice(P_ADVICE, random.Random(7))
     a1 = sample_advice_plan(P_ADVICE, 3, adv, random.Random(42))
     a2 = sample_advice_plan(P_ADVICE, 3, adv, random.Random(42))
-    for it1, it2 in zip(a1.iterations, a2.iterations):
-        assert np.array_equal(it1.positions, it2.positions)
+    assert np.array_equal(a1.positions, a2.positions)
+    assert np.array_equal(a1.nodes, a2.nodes)
 
     # per-decode budget, re-asserted over fresh samples
     rng = random.Random(77)

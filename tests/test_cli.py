@@ -58,6 +58,73 @@ def test_validate_profile_lists_every_problem():
     assert "mystery-code" in joined
 
 
+@pytest.mark.parametrize("base,strategy,opts,problem", [
+    ("repeat-unit", "nope", {}, "unknown 'nope'"),
+    ("tensor-small", "nope", {}, "unknown 'nope'"),
+    ("repeat-unit", "blockzero", {}, "strategy.block_len"),
+    ("repeat-unit", "blockzero", {"strategy.block_len": "8"}, "strategy.window_step"),
+    ("tensor-small", "blockzero", {"strategy.window_step": "4"}, "strategy.block_len"),
+    ("tensor-small", "copy_kill", {}, "strategy.copy_len"),
+])
+def test_validate_profile_rejects_strategies_corrupt_cannot_run(base, strategy, opts, problem):
+    prof = dict(load_profile(base), strategy=strategy, **opts)
+    assert any(problem in e for e in validate_profile(prof))
+
+
+@pytest.mark.parametrize("base,strategy,opts", [
+    ("repeat-unit", "copy_kill", {}),     # the repeat harness kills one copy by default
+    ("tensor-small", "copy_kill", {"strategy.copy_len": "16"}),
+    ("repeat-unit", "blockzero", {"strategy.block_len": "8", "strategy.window_step": "4"}),
+    ("tensor-small", "burst", {}),
+])
+def test_validate_profile_accepts_runnable_strategies(base, strategy, opts):
+    prof = dict(load_profile(base), strategy=strategy, **opts)
+    assert validate_profile(prof) == []
+    rep = run_experiment(prof, trials=1, seed=0)
+    assert rep["aggregates"]["trials"] == 1
+
+
+@pytest.mark.parametrize("base,strategy", [("repeat-unit", "nope"), ("repeat-unit", "blockzero"),
+                                           ("tensor-small", "blockzero"),
+                                           ("tensor-small", "copy_kill")])
+def test_cli_run_rejects_unrunnable_strategy(tmp_path, capsys, base, strategy):
+    path = tmp_path / "p.profile"
+    path.write_text(dump_profile(dict(load_profile(base), strategy=strategy)))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--profile", str(path), "--trials", "1"])
+    assert exc.value.code == 2
+    assert "profile error:" in capsys.readouterr().err
+
+
+def test_cli_corrupt_rejects_unrunnable_strategy_override(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["corrupt", "--profile", "tensor-small", "--strategy", "blockzero",
+              "--in", str(tmp_path / "w.bin"), "--out", str(tmp_path / "bad.bin")])
+    assert exc.value.code == 2
+    assert "strategy.block_len" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,profile,needs", [
+    ("repeat-encode", "tensor-toy", "repeat"),
+    ("repeat-decode", "tensor-small", "repeat"),
+    ("linear-encode", "repeat-unit", "tensor"),
+    ("linear-decode", "repeat-toy", "tensor"),
+])
+def test_codec_subcommands_reject_the_other_codec(tmp_path, capsys, command, profile, needs):
+    # real input files, so the only thing wrong is the profile's codec
+    write_stream_file(tmp_path / "x.bin", np.zeros(64, dtype=np.int32), 0)
+    (tmp_path / "ell.hex").write_text(word_to_hex(GF(1), np.ones(16, dtype=np.int32)))
+    args = [command, "--profile", profile, "--in", str(tmp_path / "x.bin")]
+    args += {"repeat-encode": ["--out", str(tmp_path / "y.bin")],
+             "linear-encode": ["--out", str(tmp_path / "y.bin")],
+             "linear-decode": ["--functional", str(tmp_path / "ell.hex")]}.get(command, [])
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "profile error:" in err and f"needs a {needs} profile" in err
+
+
 def test_validate_profile_bad_codec():
     errors = validate_profile({"name": "x", "codec": "parity"})
     assert any("codec" in e for e in errors)

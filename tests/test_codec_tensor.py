@@ -269,7 +269,8 @@ def reference_level1(P, T, ell, qlists, base_cache):
     read off base_cache (⊥ as an erasure) and scaled by the index's coefficient."""
     def merged(i):
         c, plan = int(ell.coeffs[i]), qlists[1].plans[i]
-        outs = [[base_cache[T + (j,)] for j in cv.positions] for cv in plan.curves]
+        outs = [[base_cache[T + (j,)] for j in row]
+                for row in plan.positions.reshape(len(plan.blocks), -1).tolist()]
         words = [[ERASE if o is None else field_mul(P.K, c, o) for o in out] for out in outs]
         return confidence_from_words_large(P.ldc, plan, words).merged()[:2]
     return _fold(merged(i) for i in range(P.r))
@@ -388,8 +389,9 @@ def reference_node(P, a, T, ell, qlists, rng, node_cache):
         ql, child = qlists[a], ell.restrict(i, P.r)
         values = {j: recurse_linear(P, a - 1, T + (j,), child, qlists, rng, node_cache)
                   for j in sorted({int(p) for p in ql.lists[i]})}
-        words = [[ERASE if values[j] is None else values[j] for j in cv.positions]
-                 for cv in ql.plans[i].curves]
+        plan = ql.plans[i]
+        words = [[ERASE if values[j] is None else values[j] for j in row]
+                 for row in plan.positions.reshape(len(plan.blocks), -1).tolist()]
         return confidence_from_words_large(P.ldc, ql.plans[i], words).merged()[:2]
     return _fold(merged(i) for i in range(P.r))
 

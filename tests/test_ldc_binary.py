@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamcode.gf import GF, pack_symbols, poly_eval
+from streamcode.gf import GF, pack_symbols, poly_eval, poly_interpolate
 from streamcode.codes import (codebook, extended_hamming_code, list_decode_concat,
                               replicate, simplex_code, unique_decode)
 from streamcode.ldc_binary import (
-    AdviceMismatch, BinaryLdcParams, advice_coset, advice_symbols,
+    AdviceMismatch, AdvicePlan, BinaryLdcParams, advice_coset, advice_symbols,
     asymptotic_regime, decode_advice_from_words, decode_with_advice,
     sample_advice, sample_advice_plan, sample_smooth_plan,
     smooth_local_decode, gather,
@@ -69,13 +69,14 @@ def test_curve_restriction_is_curve_codeword():
     evals = p.rm.encode(syms)
     for i in range(4):
         plan = sample_smooth_plan(p, i, rng)
-        for curve in plan.curves:
-            word = gather(w, curve.positions)
+        for blocks, positions in zip(plan.blocks.tolist(),
+                                     plan.positions.reshape(len(plan.blocks), -1)):
+            word = gather(w, positions)
             got = unique_decode(p.curve_code, word)
             assert got is not None
             coeffs, d2 = p.pack(got[0]).tolist(), got[1]
             assert d2 == 0
-            for lam, blk in zip(p.nonzero_points, curve.blocks):
+            for lam, blk in zip(p.nonzero_points, blocks):
                 assert poly_eval(p.F, coeffs, lam) == int(evals[blk])
 
 
@@ -147,7 +148,7 @@ def test_plan_positions_shape():
     assert len(pos) == p.queries_smooth
     assert pos.min() >= 0 and pos.max() < p.code_len
     # whole blocks, in lambda order
-    assert all(len(c.positions) == 15 * 8 for c in plan.curves)
+    assert plan.positions.reshape(len(plan.blocks), -1).shape == (p.t_smooth, 15 * 8)
 
 
 def test_sample_advice_expands_blocks():
@@ -231,9 +232,9 @@ def _reference_advice(p, plan, words, adv_values):
     AdviceMismatch)."""
     syms = advice_symbols(p, adv_values)
     lists, votes = [], []
-    for it, word in zip(plan.iterations, words):
+    for nodes, word in zip(plan.nodes.tolist(), words):
         kept = [(tuple(msg), d2) for msg, d2 in list_decode_concat(p.advice_code, word, p.eps)
-                if _passes_advice(p, msg, it.nodes, syms)]
+                if _passes_advice(p, msg, nodes, syms)]
         lists.append(kept)
         if len(kept) == 1:
             votes.append(int(p.inner_words[p.pack(kept[0][0])[0], plan.offset]))
@@ -245,10 +246,10 @@ def _reference_advice(p, plan, words, adv_values):
 def _coset_lists(p, plan, words, adv_values):
     syms = advice_symbols(p, adv_values)
     if None in syms:
-        return [[] for _ in plan.iterations]
+        return [[] for _ in plan.nodes]
     return [[(tuple(msg), d2) for msg, d2 in list_decode_concat(
-                p.advice_code, word, p.eps, idx=advice_coset(p, it.nodes, syms))]
-            for it, word in zip(plan.iterations, words)]
+                p.advice_code, word, p.eps, idx=advice_coset(p, nodes, syms))]
+            for nodes, word in zip(plan.nodes.tolist(), words)]
 
 
 def _vote(p, plan, words, adv_values):
@@ -303,12 +304,126 @@ def test_advice_coset_decode_matches_full_scan_filter(name):
             for pos in rng.sample(range(p.code_len), int(case * p.code_len)):
                 w[pos] ^= 1
         plan = sample_advice_plan(p, rng.randrange(p.n), adv, rng)
-        words = [gather(w, it.positions) for it in plan.iterations]
+        words = gather(w, plan.positions).reshape(len(plan.blocks), -1)
         want_lists, want_vote = _reference_advice(p, plan, words, vals)
         assert _coset_lists(p, plan, words, vals) == want_lists, case
         assert _vote(p, plan, words, vals) == want_vote, case
         sizes += [len(kept) for kept in want_lists]
     assert {0, 1} <= set(sizes)   # both a vote and an iteration that abstains
+
+
+def _block(p, coords):
+    """Block index of an RM point: its coordinates base q, first most significant."""
+    return sum(c * p.F.q ** (p.m - 1 - a) for a, c in enumerate(coords))
+
+
+def _one(plan, j):
+    """Target j of a stacked advice plan, as the plan of that target alone."""
+    return AdvicePlan(plan.offset[j], plan.blocks[j], plan.block_len, plan.nodes[j])
+
+
+@pytest.mark.parametrize("k_adv", [1, 2])
+def test_batched_advice_plan_equals_per_target_plans(k_adv):
+    """One call for many targets gives the blocks, nodes, offsets and
+    positions of one call per target and leaves the rng where those calls
+    leave it.  Both match curves whose nodes are drawn target by target,
+    iteration by iteration, and whose coordinates are interpolated and
+    evaluated point by point; each curve meets advice point l at its node l.
+    Targets repeat."""
+    p = toy_params(k_adv=k_adv)
+    t, ka = p.t_advice, p.k_adv
+    for index, count in (("message", p.n), ("codeword", p.code_len)):
+        for seed in range(3):
+            adv = sample_advice(p, random.Random(100 + seed))
+            anchors = [p.point_coords(b) for b in adv.rm_points]
+            idx = random.Random(seed).choices(range(count), k=5)
+            idx += idx[:2]
+            rngs = [random.Random(seed) for _ in range(3)]
+            batch = sample_advice_plan(p, idx, adv, rngs[0], index=index)
+            singles = [sample_advice_plan(p, i, adv, rngs[1], index=index) for i in idx]
+            assert rngs[0].getstate() == rngs[1].getstate()
+            assert batch.blocks.shape == (len(idx), t, p.F.q - 1)
+            assert batch.nodes.shape == (len(idx), t, ka)
+            assert np.array_equal(batch.blocks, [s.blocks for s in singles])
+            assert np.array_equal(batch.nodes, [s.nodes for s in singles])
+            assert batch.offset.tolist() == [s.offset for s in singles]
+            assert np.array_equal(batch.positions,
+                                  np.concatenate([s.positions for s in singles]))
+            for i, s in zip(idx, singles):
+                block, offset = p.target(i, index)
+                v0 = p.point_coords(block)
+                assert s.offset == offset
+                rows = s.positions.reshape(len(s.blocks), -1)
+                for blocks, nodes, positions in zip(s.blocks.tolist(), s.nodes.tolist(), rows):
+                    assert nodes == rngs[2].sample(p.nonzero_points, ka)
+                    polys = [poly_interpolate(p.F, [(0, v0[a])] + [
+                        (lam, pt[a]) for lam, pt in zip(nodes, anchors)]) for a in range(p.m)]
+                    assert blocks == [_block(p, [poly_eval(p.F, poly, lam) for poly in polys])
+                                      for lam in p.nonzero_points]
+                    assert [blocks[lam - 1] for lam in nodes] == list(adv.rm_points)
+                    assert np.array_equal(positions, np.concatenate(
+                        [np.arange(b * p.block_len, (b + 1) * p.block_len) for b in blocks]))
+            assert rngs[2].getstate() == rngs[0].getstate()
+
+
+def _decode_or_mismatch(p, plan, words, adv_values):
+    try:
+        return decode_advice_from_words(p, plan, words, adv_values)
+    except AdviceMismatch:
+        return AdviceMismatch
+
+
+@pytest.mark.parametrize("k_adv", [1, 2])
+def test_stacked_advice_decode_equals_per_target_decodes(k_adv):
+    """A stacked decode returns the bits of one decode per target.  It raises
+    AdviceMismatch when any one target gets no vote, wherever that target
+    sits in the stack, and on falsified advice."""
+    p = toy_params(k_adv=k_adv)
+    rng = random.Random(20 + k_adv)
+    outcomes = set()
+    for rate in (0, 0.05, 0.2, 0.3, 0.4) * 3:
+        x = random_message(p, rng)
+        w = encode(p, x)
+        adv = sample_advice(p, rng)
+        vals = gather(w, list(adv.positions))
+        for pos in rng.sample(range(p.code_len), int(rate * p.code_len)):
+            w[pos] ^= 1
+        idx = [rng.randrange(p.n) for _ in range(6)]
+        plan = sample_advice_plan(p, idx + idx[:1], adv, rng)
+        words = gather(w, plan.positions)
+        singles = [_decode_or_mismatch(p, _one(plan, j), gather(w, _one(plan, j).positions),
+                                       vals) for j in range(len(plan.offset))]
+        got = _decode_or_mismatch(p, plan, words, vals)
+        assert got == (AdviceMismatch if AdviceMismatch in singles else singles)
+        outcomes.add(got is AdviceMismatch)
+        if rate == 0:
+            assert got == [int(x[i]) for i in idx + idx[:1]]
+    assert outcomes == {False, True}
+
+    # one target with no vote, at the front, in the middle and at the end
+    x = random_message(p, rng)
+    w = encode(p, x)
+    adv = sample_advice(p, rng)
+    vals = gather(w, list(adv.positions))
+    plan = sample_advice_plan(p, list(range(5)), adv, rng)
+    words = gather(w, plan.positions).reshape(5, -1)
+    assert decode_advice_from_words(p, plan, words, vals) == [int(b) for b in x[:5]]
+    for j in (0, 2, 4):
+        for _ in range(200):   # a word on which target j alone gets no vote
+            bad = words.copy()
+            bad[j] = [rng.randrange(2) for _ in range(words.shape[1])]
+            if _decode_or_mismatch(p, _one(plan, j), bad[j], vals) is AdviceMismatch:
+                break
+        assert _decode_or_mismatch(p, _one(plan, j), bad[j], vals) is AdviceMismatch
+        with pytest.raises(AdviceMismatch):
+            decode_advice_from_words(p, plan, bad, vals)
+
+    # falsified advice: an advice block that is not an inner codeword
+    for _ in range(5):
+        false_vals = vals.copy()
+        false_vals[rng.randrange(len(false_vals))] ^= 1
+        with pytest.raises(AdviceMismatch):
+            decode_advice_from_words(p, plan, words, false_vals)
 
 
 def test_equidistant_inner_variant_builds():

@@ -96,18 +96,19 @@ def test_batched_plan_equals_per_target_plans(name):
                     block, offset = p.target(i, index)
                     v0 = p.point_coords(block)
                     assert s.offset == offset
-                    for cv in s.curves:
+                    rows = s.positions.reshape(len(s.blocks), -1)
+                    for blocks, positions in zip(s.blocks.tolist(), rows):
                         v1 = [rngs[2].randrange(q) for _ in range(m)]
                         v2 = [rngs[2].randrange(q) for _ in range(m)]
-                        assert cv.blocks == [
+                        assert blocks == [
                             _block(p, [poly_eval(p.F, [v0[a], v1[a], v2[a]], lam)
                                        for a in range(m)])
                             for lam in p.nonzero_points]
-                        assert np.array_equal(cv.positions, np.concatenate(
+                        assert np.array_equal(positions, np.concatenate(
                             [np.arange(b * p.block_len, (b + 1) * p.block_len)
-                             for b in cv.blocks]))
+                             for b in blocks]))
                 assert rngs[2].getstate() == rngs[0].getstate()
-                assert len(singles[0].curves) == t
+                assert len(singles[0].blocks) == t
 
 
 def test_pack_matches_pack_symbols():

@@ -74,12 +74,13 @@ def test_smooth_single_erasure_exact_masses():
     i = 1
     plan = sample_smooth_plan(p, i, p_rng := random.Random(7))
     # erase one position that only the first curve reads
-    only_first = set(map(int, plan.curves[0].positions)) - set(map(int, plan.curves[1].positions))
+    rows = plan.positions.reshape(len(plan.blocks), -1)   # one row per curve
+    only_first = set(map(int, rows[0])) - set(map(int, rows[1]))
     pos = sorted(only_first)[0]
     w = w.copy()
     w[pos] = ERASE
     from streamcode.ldc_large import confidence_from_words_large
-    words = [gather(w, c.positions) for c in plan.curves]
+    words = [gather(w, row) for row in rows]
     dist = confidence_from_words_large(p, plan, words)
     L = p.curve_code.code_len  # 30
     # the erased curve: delta = 1/(2L); mass 1 - 1/L on sigma, 1/L on bot
