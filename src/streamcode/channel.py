@@ -45,6 +45,8 @@ class ErrorBudget:
 
     def __post_init__(self):
         self.rho = Fraction(self.rho)
+        if not 0 <= self.rho <= 1:
+            raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
 
     @property
     def limit(self) -> int:
@@ -69,6 +71,7 @@ class ErrorBudget:
 # the options each strategy needs; copy_kill also takes an optional target_copy
 STRATEGY_OPTIONS = {"uniform": (), "burst": (), "copy_kill": ("copy_len",),
                     "blockzero": ("block_len", "window_step"), "erasure_mix": ()}
+SYMBOL_ONLY = ("erasure_mix",)   # strategies that need a symbol word (field_k >= 1)
 
 
 @dataclass
@@ -91,6 +94,8 @@ def corrupt(word, strategy: AttackStrategy, budget: ErrorBudget, rng,
         raise ValueError(f"word value outside the alphabet of size {q}")
     if np.iinfo(word.dtype).max < q - 1:
         raise ValueError(f"dtype {word.dtype} cannot hold every symbol of an alphabet of size {q}")
+    if strategy.name in SYMBOL_ONLY and field_k == 0:
+        raise ValueError(f"{strategy.name} needs a symbol word")
     m, opts = len(word), strategy.options
     left = budget.limit - budget.charged2 // 2  # whole changes still allowed
     era = np.empty(0, dtype=np.intp)
@@ -114,8 +119,6 @@ def corrupt(word, strategy: AttackStrategy, budget: ErrorBudget, rng,
         n_blocks = min(m // block_len, max(0, m - j) // max(1, step))
         sub = np.flatnonzero(word[:n_blocks * block_len])
     elif strategy.name == "erasure_mix":
-        if field_k == 0:
-            raise ValueError("erasure_mix needs a symbol word")
         if word.dtype.kind == "u":
             raise ValueError(f"erasure_mix needs a signed dtype to hold ERASE, not {word.dtype}")
         B = budget.limit

@@ -23,7 +23,7 @@ from .gf import GF, word_from_hex
 from .codes import min_distance_bruteforce, word_dist2
 from .stream import (MemoryLedger, OutOfOrderWrite, StreamExhausted,
                      SymbolStream, read_stream_file, write_stream_file)
-from .channel import AttackStrategy, ErrorBudget, corrupt
+from .channel import SYMBOL_ONLY, AttackStrategy, ErrorBudget, corrupt
 from .ldc_large import ResampleExhausted
 from .codec_repeat import (dec_repeat, enc_repeat, errcount_property_probe)
 from .codec_tensor import (enc_linear, functional_dot, linear_dec_traced)
@@ -58,22 +58,33 @@ def _write_report(report: dict, path: str | None):
         print(text)
 
 
-def _load_valid_profile(name: str, codec: str | None = None,
-                        strategy: str | None = None) -> dict:
-    """The profile, its strategy overridden if one is given; exit 2 when it
-    is invalid or, given a codec, is not a profile of that codec."""
-    prof = load_profile(name)
-    if strategy:
-        prof["strategy"] = strategy
-    errors = validate_profile(prof)
-    if codec and prof.get("codec") != codec:
-        errors.append(f"this subcommand needs a {codec} profile, "
-                      f"not codec {prof.get('codec')!r}")
+def _load_valid_profile(name: str, codecs: tuple = (), overrides: dict | None = None) -> dict:
+    """The profile with the overrides that are not None; exit 2 when it is
+    invalid or, for a subcommand that runs the bit words of `codecs`, is of
+    another codec or attacks with a strategy that needs symbols."""
+    try:
+        prof = load_profile(name)
+    except ValueError as exc:   # an unknown name or a malformed file
+        prof, errors = {}, [str(exc)]
+    else:
+        prof.update({k: v for k, v in (overrides or {}).items() if v is not None})
+        if codecs and prof.get("codec") not in codecs:
+            errors = [f"this subcommand needs a {' or '.join(codecs)} profile, "
+                      f"not codec {prof.get('codec')!r}"]
+        else:
+            errors = validate_profile(prof) + (_bit_word_errors(prof) if codecs else [])
     if errors:
         for err in errors:
             print(f"profile error: {err}", file=sys.stderr)
         raise SystemExit(2)
     return prof
+
+
+def _bit_word_errors(prof: dict) -> list:
+    """The codecs send bit words, which a symbol-only strategy cannot attack."""
+    strategy = prof.get("strategy")
+    return [f"strategy {strategy} needs a symbol word; the codecs send bits"] \
+        if strategy in SYMBOL_ONLY else []
 
 
 def _chan_rng(seed: int, trial, role: str) -> random.Random:
@@ -92,7 +103,7 @@ def _attack(prof: dict, params, rho: Fraction, word_len: int):
 # encode / decode / corrupt subcommands
 
 def cmd_repeat_encode(args) -> int:
-    prof = _load_valid_profile(args.profile, "repeat")
+    prof = _load_valid_profile(args.profile, ("repeat",))
     params = build_params(prof)
     msg, field_k = read_stream_file(args.infile)
     if field_k != 0:
@@ -106,7 +117,7 @@ def cmd_repeat_encode(args) -> int:
 
 
 def cmd_repeat_decode(args) -> int:
-    prof = _load_valid_profile(args.profile, "repeat")
+    prof = _load_valid_profile(args.profile, ("repeat",))
     params = build_params(prof)
     if args.budget_bits is not None:
         params.budget_bits = args.budget_bits
@@ -137,7 +148,7 @@ def cmd_repeat_decode(args) -> int:
 
 
 def cmd_linear_encode(args) -> int:
-    prof = _load_valid_profile(args.profile, "tensor")
+    prof = _load_valid_profile(args.profile, ("tensor",))
     params = build_params(prof)
     msg, field_k = read_stream_file(args.infile)
     if field_k != 0:
@@ -151,7 +162,7 @@ def cmd_linear_encode(args) -> int:
 
 
 def cmd_linear_decode(args) -> int:
-    prof = _load_valid_profile(args.profile, "tensor")
+    prof = _load_valid_profile(args.profile, ("tensor",))
     params = build_params(prof)
     with open(args.functional) as fh:
         ell = word_from_hex(GF(1), fh.read().strip())
@@ -177,11 +188,10 @@ def cmd_linear_decode(args) -> int:
 
 
 def cmd_corrupt(args) -> int:
-    prof = _load_valid_profile(args.profile, strategy=args.strategy)
+    prof = _load_valid_profile(args.profile,
+                               overrides={"strategy": args.strategy, "rho": args.rho})
     params = build_params(prof)
     rho, _, _ = channel_spec(prof)
-    if args.rho is not None:
-        rho = Fraction(args.rho)
     word, field_k = read_stream_file(args.infile)
     strategy, budget = _attack(prof, params, rho, len(word))
     bad = corrupt(word, strategy, budget, _chan_rng(args.seed, "one", "chan"),
@@ -249,7 +259,7 @@ def _tensor_trial(prof, params, seed, trial):
 def run_experiment(prof: dict, trials: int | None = None,
                    seed: int | None = None) -> dict:
     """encode -> corrupt -> decode per trial; order-independent aggregates."""
-    errors = validate_profile(prof)
+    errors = validate_profile(prof) or _bit_word_errors(prof)
     if errors:
         raise ValueError("; ".join(errors))
     params = build_params(prof)
@@ -328,7 +338,7 @@ def verify_code_tables(prof: dict) -> dict:
 
 
 def cmd_run(args) -> int:
-    prof = _load_valid_profile(args.profile)
+    prof = _load_valid_profile(args.profile, ("repeat", "tensor"))
     report = run_experiment(prof, trials=args.trials, seed=args.seed)
     _write_report(report, args.report)
     return 1 if report["invariant_fired"] else 0

@@ -48,7 +48,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import ldc_large
-from .gf import ERASE, GF, FieldSpec, mul_lut, pack_symbols
+from .gf import ERASE, GF, FieldSpec, mul_lut, packing
 from .codes import (LinearCode, block_dist2, codebook, concat, repetition_code,
                     symbol_words)
 from .ldc_large import (LargeLdcParams, confidence_from_decoded, decode_curves_large,
@@ -190,13 +190,6 @@ def tensor_encode(code: LinearCode, d: int, x, axis_order=None) -> np.ndarray:
     return arr.ravel()
 
 
-def _symbol_bit_words(params: TensorParams) -> np.ndarray:
-    tbl = getattr(params, "_sym_words", None)
-    if tbl is None:
-        tbl = params._sym_words = symbol_words(params.base_code, params.K)
-    return tbl
-
-
 def enc_linear(params: TensorParams, x) -> np.ndarray:
     """n message bits -> N_inner * R^depth codeword bits."""
     x = np.asarray(x, dtype=np.int32)
@@ -205,7 +198,7 @@ def enc_linear(params: TensorParams, x) -> np.ndarray:
     if not np.all((x == 0) | (x == 1)):
         raise ValueError("message bits must be 0/1")
     syms = tensor_encode(params.axis_code, params.depth, x)
-    return _symbol_bit_words(params)[syms].ravel()
+    return symbol_words(params.base_code, params.K)[syms].ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +226,7 @@ def _base_tables(params: TensorParams):
         best = np.argmin(d2, axis=1)
         best_d2 = d2[np.arange(1 << N), best]
         radius2 = (params.base_code.dist2_bound - 1) // 2
-        syms = np.array([pack_symbols(GF(1), params.K, cb.msg_of_index(int(i)))
-                         for i in best], dtype=np.int32)
+        syms = packing(GF(1), params.K).sym[best].astype(np.int32)   # best is a lex value
         syms[best_d2 > radius2] = -1
         tbl = (syms, best_d2.astype(np.int64))
         params._base_tbl = tbl

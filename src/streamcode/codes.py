@@ -16,7 +16,9 @@ take of that table over the group's column of outer-codeword symbols, so it
 never builds the codeword table.  A scan takes one word or a stack of words;
 a stack shares every take (the tensor decoder scans its level-1 curve words
 that way).  GMD's inner decode and the tensor codec's base table use the
-same block_dist2 against the inner code's codewords.
+same block_dist2 against the inner code's codewords.  The packing of groups
+of K-symbols into F-symbols is gf's (gf.packing): concat, Codebook and GMD
+read its arrays and build no table of their own.
 
 Decoding entry points:
 
@@ -51,7 +53,7 @@ import numpy as np
 
 from .gf import (
     ERASE, GF, MODULI, FieldSpec, field_inv, gf_matvec, mul_arrays, mul_lut,
-    pack_symbols, powers, unpack_symbol,
+    packing, powers,
 )
 
 BRUTE_FORCE_LIMIT = 1 << 20  # largest message space we will ever enumerate
@@ -118,6 +120,7 @@ class ConcatCode(LinearCode):
 
     outer: LinearCode = None
     inner: LinearCode = None
+    inner_words: np.ndarray = None   # (|F|, block_len): row s is F-symbol s's block
 
     @property
     def block_len(self) -> int:
@@ -126,11 +129,6 @@ class ConcatCode(LinearCode):
     @property
     def num_blocks(self) -> int:
         return self.outer.code_len
-
-    @cached_property
-    def inner_words(self) -> np.ndarray:
-        """(|F|, block_len) table: row s is the block that F-symbol s becomes."""
-        return symbol_words(self.inner, self.outer.field)
 
     @cached_property
     def gmd(self) -> "GmdTables":
@@ -290,7 +288,7 @@ def concat(outer: LinearCode, inner: LinearCode) -> ConcatCode:
     # column u encodes the unit message e_u: basis symbol pack(e_{u mod e})
     # times outer column u // e, then every block through the inner code
     words = symbol_words(inner, F)
-    basis = [pack_symbols(K, F, np.eye(e, dtype=np.int32)[s]) for s in range(e)]
+    basis = packing(K, F).sym[K.q ** np.arange(e - 1, -1, -1)]   # the unit groups
     cols = np.stack([words[mul_lut(F, basis[u % e])[outer.gen[:, u // e]]].ravel()
                      for u in range(m)], axis=1)
     sys_pos = None
@@ -300,23 +298,18 @@ def concat(outer: LinearCode, inner: LinearCode) -> ConcatCode:
             for j in range(m))
     cc = ConcatCode(K, cols, kind="concat", systematic_positions=sys_pos,
                     dist2_bound=outer.dist2_bound * inner.dist2_bound // 2,
-                    outer=outer, inner=inner)
+                    outer=outer, inner=inner, inner_words=words)
     return cc
-
-
-def pack_table(K: FieldSpec, F: FieldSpec) -> np.ndarray:
-    """F-symbol that each group of F.k/K.k K-symbols packs into, indexed by
-    the group's lex value (symbol 0 most significant)."""
-    e = F.k // K.k
-    return np.array([pack_symbols(K, F, [(v // K.q ** (e - 1 - u)) % K.q for u in range(e)])
-                     for v in range(F.q)], dtype=np.int64)
 
 
 def symbol_words(inner: LinearCode, F: FieldSpec) -> np.ndarray:
     """(|F|, inner.code_len) table: row s is the inner codeword of the
     inner.msg_len symbols that the F-symbol s unpacks to."""
-    return np.stack([inner.encode(np.array(unpack_symbol(inner.field, F, s), dtype=np.int32))
-                     for s in range(F.q)]).astype(np.int32)
+    digits = packing(inner.field, F).digits
+    words = np.zeros((F.q, inner.code_len), dtype=np.int32)
+    for j in range(inner.msg_len):
+        words ^= mul_arrays(inner.field, digits[:, j, None], inner.gen[:, j])
+    return words
 
 
 def replicate(code: LinearCode, times: int) -> LinearCode:
@@ -396,12 +389,11 @@ class Codebook:
         if isinstance(code, ConcatCode):
             outer, F = code.outer, code.outer.field
             self.inner_words = code.inner_words   # (|F|, block_len)
+            self.packing = packing(code.field, F)
             # lex index over K-digits -> lex index over the packed F-symbols
-            pack = pack_table(code.field, F)
-            self._unpack = np.argsort(pack)   # F-symbol -> lex value of its K-digits
-            outer_idx = np.zeros_like(idx)
-            for t in range(outer.msg_len):
-                outer_idx = outer_idx * F.q + pack[(idx // F.q ** (outer.msg_len - 1 - t)) % F.q]
+            outer_idx, T = np.zeros_like(idx), outer.msg_len
+            for t in range(T):
+                outer_idx = outer_idx * F.q + self.packing.sym[idx // F.q ** (T - 1 - t) % F.q]
             self.group = g = max(1, 8 // F.k)
             rows = codebook(outer).words[outer_idx]
             # intp is take()'s index type; a padding block adds symbol 0
@@ -424,7 +416,7 @@ class Codebook:
         """Message indices of a concatenated code's messages given as rows of
         packed outer symbols (one F-symbol per group of K-digits)."""
         F, T = self.code.outer.field, self.code.outer.msg_len
-        return self._unpack[np.asarray(rows)] @ F.q ** np.arange(T - 1, -1, -1, dtype=np.int64)
+        return self.packing.lex[np.asarray(rows)] @ F.q ** np.arange(T - 1, -1, -1, dtype=np.int64)
 
     def dist2_scan(self, w, idx=None) -> np.ndarray:
         """dist2 from w to every codeword, or to the codewords of the message
@@ -511,10 +503,9 @@ class GmdTables:
     """What GMD needs of one Reed-Solomon-outer concatenation, built once.
 
     Inner codewords are kept in inner message (lex) order, so argmin ties
-    break to the smallest inner message; sym_of_index packs that index into
-    its F-symbol and index_of_sym inverts it.  H is a parity-check matrix of
-    the outer code (the null space of gen.T); an outer word is a codeword iff
-    H @ word == 0.  The outer message reads back from the word's symbols at
+    break to the smallest inner message; gf's packing turns that index into
+    its F-symbol and back.  H is a parity-check matrix of the outer code (the
+    null space of gen.T); an outer word is a codeword iff H @ word == 0.  The outer message reads back from the word's symbols at
     the pivots of gen.T through `rec`, the inverse of the generator's rows
     there; that holds for every full-rank outer generator, systematic or not.
     powers is the (n, n) table of x^j at the outer evaluation points: its
@@ -526,10 +517,7 @@ class GmdTables:
         n, k = outer.code_len, outer.msg_len
         self.F = F
         self.inner_table = codebook(cc.inner).words
-        self.sym_of_index = pack_table(K, F)
-        self.index_of_sym = np.argsort(self.sym_of_index)
-        self.unpack = np.array([unpack_symbol(K, F, s) for s in range(F.q)],
-                               dtype=np.int32).reshape(F.q, -1)
+        self.packing = packing(K, F)
         R, pivots = _rref(F, outer.gen.T)
         free = [c for c in range(n) if c not in pivots]
         self.H = np.zeros((len(free), n), dtype=np.int32)
@@ -547,7 +535,8 @@ class GmdTables:
         """The concatenated message of each outer codeword along the last axis."""
         rows = np.bitwise_xor.reduce(
             mul_arrays(self.F, self.rec, words[..., None, self.pivots]), axis=-1)
-        return self.unpack[rows].reshape(*rows.shape[:-1], rows.shape[-1] * self.unpack.shape[1])
+        digits = self.packing.digits[rows]
+        return digits.reshape(*rows.shape[:-1], rows.shape[-1] * digits.shape[-1])
 
 
 def _gmd_inner(cc: ConcatCode, w):
@@ -558,7 +547,7 @@ def _gmd_inner(cc: ConcatCode, w):
     d2 = block_dist2(np.reshape(w, (-1, cc.block_len)), g.inner_table)
     best = np.argmin(d2, axis=1)
     best_d2 = d2[np.arange(len(d2)), best]
-    return d2.reshape(shape + (-1,)), g.sym_of_index[best].reshape(shape), best_d2.reshape(shape)
+    return d2.reshape(shape + (-1,)), g.packing.sym[best].reshape(shape), best_d2.reshape(shape)
 
 
 def _gmd_decode(cc: ConcatCode, words, radius2: int) -> list:
@@ -596,7 +585,7 @@ def _gmd_sweep(cc: ConcatCode, d2, syms, best_d2, radius2: int):
             continue
         seen.add(tuple(h))
         word = gf_matvec(F, g.powers[:, :k_rs], h)
-        total = int(d2[blocks, g.index_of_sym[word]].sum(dtype=np.int64))
+        total = int(d2[blocks, g.packing.lex[word]].sum(dtype=np.int64))
         if total <= radius2:
             return g.message(word), total
     return None

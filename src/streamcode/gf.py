@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -298,8 +299,8 @@ def word_from_hex(K: FieldSpec, s: str) -> np.ndarray:
 # subfield embedding and symbol packing
 
 @lru_cache(maxsize=None)
-def _embed_tables(kk: int, kf: int):
-    """Tables for the canonical embedding GF(2^kk) -> GF(2^kf), kk | kf.
+def _embed_tables(kk: int, kf: int) -> list:
+    """The canonical embedding GF(2^kk) -> GF(2^kf), kk | kf, as a table.
 
     The image of the small field's primitive element g is chosen as the
     smallest root (as an int) in the big field of g's minimal polynomial over
@@ -310,8 +311,7 @@ def _embed_tables(kk: int, kf: int):
         raise ValueError(f"GF(2^{kk}) does not embed in GF(2^{kf})")
     K, F = GF(kk), GF(kf)
     if kk == kf:
-        fwd = list(range(K.q))
-        return fwd, {v: i for i, v in enumerate(fwd)}
+        return list(range(K.q))
     g = field_generator(K)
     # minimal polynomial of g over GF(2): ∏ (λ - g^(2^j)) over the orbit
     conj, x = [], g
@@ -332,44 +332,50 @@ def _embed_tables(kk: int, kf: int):
     for a in range(K.q):
         for b in range(K.q):
             assert fwd[a ^ b] == fwd[a] ^ fwd[b], "embedding is not additive"
-    return fwd, {v: i for i, v in enumerate(fwd)}
+    return fwd
 
 
 def embed(K: FieldSpec, F: FieldSpec, a: int) -> int:
-    return _embed_tables(K.k, F.k)[0][a]
+    return _embed_tables(K.k, F.k)[a]
+
+
+class Packing(NamedTuple):
+    """The packing of groups of e K-symbols into F-symbols as lookup tables,
+    so a whole numpy array of groups or symbols maps in one take.  A group's
+    lex value reads its K-symbols as base-|K| digits, symbol 0 first."""
+
+    sym: np.ndarray      # (|F|,) int64: the F-symbol of each lex value
+    lex: np.ndarray      # (|F|,) int64: the lex value of each F-symbol
+    digits: np.ndarray   # (|F|, e) int32: the K-symbols of each F-symbol
 
 
 @lru_cache(maxsize=None)
-def _pack_tables(kk: int, kf: int):
-    """Bijection GF(2^kk)^e <-> GF(2^kf), e = kf/kk, K-linear in each slot.
+def packing(K: FieldSpec, F: FieldSpec) -> Packing:
+    """Bijection K^e <-> F, e = F.k/K.k, K-linear in each slot, built once
+    per field pair: every other module reads these arrays.
 
     Basis over the embedded subfield: 1, g, g^2, ..., g^(e-1) for the big
     field's primitive element g (primitive elements have degree e over the
     subfield, so these are independent).
     """
-    K, F = GF(kk), GF(kf)
-    e = kf // kk
-    fwd, _ = _embed_tables(kk, kf)
-    g = field_generator(F)
-    basis = [field_pow(F, g, j) for j in range(e)]
-    unpack = {}
-    pack = {}
-    for tup in np.ndindex(*([K.q] * e)):
-        v = 0
-        for j, s in enumerate(tup):
-            v ^= field_mul(F, fwd[s], basis[j])
-        pack[tup] = v
-        unpack[v] = tup
-    assert len(unpack) == F.q, "packing map is not a bijection"
-    return pack, unpack
+    e = F.k // K.k
+    digits = np.arange(F.q)[:, None] // K.q ** np.arange(e - 1, -1, -1) % K.q
+    basis = powers(F, [field_generator(F)], e)[0]
+    fwd = np.array(_embed_tables(K.k, F.k))
+    sym = np.bitwise_xor.reduce(mul_arrays(F, fwd[digits], basis), axis=1).astype(np.int64)
+    lex = np.argsort(sym)   # the inverse permutation
+    assert np.array_equal(sym[lex], np.arange(F.q)), "packing map is not a bijection"
+    pk = Packing(sym, lex, digits[lex].astype(np.int32))
+    for table in pk:   # shared by every caller: a write would change the wire format
+        table.flags.writeable = False
+    return pk
 
 
 def pack_symbols(K: FieldSpec, F: FieldSpec, syms) -> int:
     """Pack e = F.k/K.k small-field symbols into one big-field symbol."""
-    pack, _ = _pack_tables(K.k, F.k)
-    return pack[tuple(int(s) for s in syms)]
+    pk = packing(K, F)
+    return int(pk.sym[np.ravel_multi_index([int(s) for s in syms], pk.digits.shape[1] * (K.q,))])
 
 
-def unpack_symbol(K: FieldSpec, F: FieldSpec, x: int):
-    _, unpack = _pack_tables(K.k, F.k)
-    return unpack[int(x)]
+def unpack_symbol(K: FieldSpec, F: FieldSpec, x: int) -> tuple:
+    return tuple(packing(K, F).digits[int(x)].tolist())

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .gf import GF, FieldSpec, mul_lut, poly_interpolate, powers
-from .codes import (LinearCode, _rref, codebook, concat,
+from .codes import (LinearCode, _rref, block_dist2, codebook, concat,
                     list_decode_concat, rs_code, unique_decode)
 from .ldc_core import (RmLdc, SmoothPlan, block_positions, curve_blocks, gather,
                        plan_targets, sample_smooth_plan)
@@ -82,9 +82,6 @@ class BinaryLdcParams(RmLdc):
             raise ValueError("advice larger than the advice-decoder query budget")
         self.advice_code = concat(
             rs_code(self.F, self.nonzero_points, self.k_adv * self.d + 1), self.inner)
-        # exact inner codeword -> field symbol, for reading advice blocks
-        self._inner_lookup = {w.tobytes(): s for s, w in
-                              enumerate(self.inner_words.astype(np.uint8))}
 
     @property
     def b(self) -> int:
@@ -193,12 +190,11 @@ def sample_advice_plan(params: BinaryLdcParams, i, adv: AdvicePositions,
 
 
 def advice_symbols(params: BinaryLdcParams, adv_values) -> list:
-    """Decode each advice block of bits to its field symbol by exact codebook
-    lookup; an invalid block gives None (and no candidate survives it)."""
-    L = params.block_len
-    vals = np.asarray(adv_values, dtype=np.uint8)
-    return [params._inner_lookup.get(vals[l * L:(l + 1) * L].tobytes())
-            for l in range(params.k_adv)]
+    """Decode each advice block of bits to the field symbol whose inner
+    codeword it is exactly (at dist2 0); an invalid block gives None (and no
+    candidate survives it)."""
+    d2 = block_dist2(np.reshape(adv_values, (params.k_adv, params.block_len)), params.inner_words)
+    return [int(row.argmin()) if row.min() == 0 else None for row in d2]
 
 
 def advice_coset(params: BinaryLdcParams, nodes, syms) -> np.ndarray:

@@ -29,8 +29,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .codes import concat, make_systematic, pack_table, rm_code, rs_code
-from .gf import mul_arrays, powers
+from .codes import concat, make_systematic, rm_code, rs_code
+from .gf import mul_arrays, packing, powers
 
 
 class RmLdc:
@@ -51,9 +51,7 @@ class RmLdc:
         # restriction of the code to a degree-2 curve: RS on F* of degree 2d
         self.curve_code = concat(rs_code(self.F, self.nonzero_points, 2 * self.d + 1),
                                  self.inner)
-        # F-symbol of the K-digit group with lex index v (digit 0 most significant)
-        self.pack_tbl = pack_table(self.K, self.F)
-        self._digit_weights = self.K.q ** np.arange(self.e - 1, -1, -1, dtype=np.int64)
+        self.packing = packing(self.K, self.F)
         self.inner_words = self.curve_code.inner_words   # (q_F, L)
         # row j < q: lambda^j over the nonzero lambdas; then c * x for all c, x
         self.powers = np.ascontiguousarray(powers(self.F, self.nonzero_points, self.F.q).T)
@@ -113,7 +111,7 @@ class RmLdc:
     def pack(self, syms) -> np.ndarray:
         """K-symbols, e per group, to the F-symbols they pack into."""
         groups = np.asarray(syms, dtype=np.int64).reshape(-1, self.e)
-        return self.pack_tbl[groups @ self._digit_weights]
+        return self.packing.sym[np.ravel_multi_index(groups.T, (self.K.q,) * self.e)]
 
 
 # ---------------------------------------------------------------------------

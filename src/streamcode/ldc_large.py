@@ -131,7 +131,7 @@ def decode_curves_large(params: LargeLdcParams, words) -> list:
         least = d2[np.arange(len(best)), best]
         del d2  # free this chunk's table before the next one is built
         for i, e in zip(best.tolist(), least.tolist()):
-            out.append(None if e > radius2 else (int(params.pack_tbl[i // top]), e))
+            out.append(None if e > radius2 else (int(params.packing.sym[i // top]), e))
     return out
 
 

@@ -213,9 +213,12 @@ def validate_profile(prof: dict) -> list:
                 errors.append(f"{key}: not an integer: {value!r}")
         elif key in _FRACTION_KEYS:
             try:
-                Fraction(value)
+                f = Fraction(value)
             except (ValueError, ZeroDivisionError):
                 errors.append(f"{key}: not a fraction: {value!r}")
+            else:
+                if key == "rho" and not 0 <= f <= 1:
+                    errors.append(f"rho: must lie in [0, 1], got {value}")
         elif key.startswith("strategy."):
             try:
                 int(value)

@@ -7,10 +7,11 @@ access discipline of a streaming decoder; decoders never touch the underlying
 arrays directly.
 
 MemoryLedger tracks the persistent state a decoder keeps between reads.
-Decoders report their state size in bits at natural boundaries (cheap
-arithmetic, kept honest by unit tests that re-measure sampled states through
-serialize_state, the canonical encoding defined here).  Exceeding the budget
-is recorded as a violation, not raised — a run report should show the breach.
+Decoders report their state size in bits at natural boundaries: dec_repeat
+serializes its whole state through state_size_bits (serialize_state, the
+canonical encoding defined here) at every copy boundary.  Exceeding the
+budget is recorded as a violation, not raised — a run report should show
+the breach.
 
 Stream files: magic "SCS1", kind byte (0 bits / 1 symbols), field-degree
 byte (0 for bits, a key of MODULI for symbols), little-endian u32 length,

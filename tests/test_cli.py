@@ -2,13 +2,14 @@
 encode/corrupt/decode roundtrips, experiment reports, reproducibility."""
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from streamcode.gf import ERASE, GF, word_to_hex
 from streamcode import cli
-from streamcode.channel import corrupt
+from streamcode.channel import ErrorBudget, corrupt
 from streamcode.cli import main, run_experiment, verify_code_tables
 from streamcode.codec_repeat import RepeatParams
 from streamcode.codec_tensor import TensorParams, functional_dot
@@ -123,6 +124,100 @@ def test_codec_subcommands_reject_the_other_codec(tmp_path, capsys, command, pro
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "profile error:" in err and f"needs a {needs} profile" in err
+
+
+@pytest.mark.parametrize("command", ["run", "repeat-encode", "repeat-decode", "linear-encode",
+                                     "linear-decode", "corrupt", "verify-tables",
+                                     "show-profile"])
+def test_cli_unknown_profile_name_is_a_profile_error(tmp_path, capsys, command):
+    write_stream_file(tmp_path / "x.bin", np.zeros(64, dtype=np.int32), 0)
+    (tmp_path / "ell.hex").write_text(word_to_hex(GF(1), np.ones(16, dtype=np.int32)))
+    args = [command, "--profile", "nosuch"]
+    args += {"repeat-encode": ["--in", str(tmp_path / "x.bin"), "--out", str(tmp_path / "y.bin")],
+             "repeat-decode": ["--in", str(tmp_path / "x.bin")],
+             "linear-encode": ["--in", str(tmp_path / "x.bin"), "--out", str(tmp_path / "y.bin")],
+             "linear-decode": ["--in", str(tmp_path / "x.bin"),
+                               "--functional", str(tmp_path / "ell.hex")],
+             "corrupt": ["--in", str(tmp_path / "x.bin"), "--out", str(tmp_path / "y.bin")],
+             }.get(command, [])
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "profile error: unknown profile 'nosuch'" in capsys.readouterr().err
+    assert not (tmp_path / "y.bin").exists()
+
+
+@pytest.mark.parametrize("command,profile", [
+    ("run", "repeat-unit"), ("run", "tensor-small"),
+    ("repeat-encode", "repeat-unit"), ("repeat-decode", "repeat-unit"),
+    ("linear-encode", "tensor-small"), ("linear-decode", "tensor-small"),
+])
+def test_cli_bit_word_subcommands_reject_symbol_only_strategy(tmp_path, capsys, monkeypatch,
+                                                              command, profile):
+    """The codecs send bit words, which erasure_mix cannot attack: run and
+    the codec subcommands exit 2 before any trial or file is touched."""
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "_repeat_trial", no_trial)
+    monkeypatch.setattr(cli, "_tensor_trial", no_trial)
+    path = tmp_path / "p.profile"
+    path.write_text(dump_profile(dict(load_profile(profile), strategy="erasure_mix")))
+    missing = ["--in", str(tmp_path / "missing.bin")]   # never opened
+    args = [command, "--profile", str(path)] + {
+        "run": ["--trials", "2"],
+        "repeat-encode": missing + ["--out", str(tmp_path / "y.bin")],
+        "repeat-decode": missing,
+        "linear-encode": missing + ["--out", str(tmp_path / "y.bin")],
+        "linear-decode": missing + ["--functional", str(tmp_path / "missing.hex")]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "profile error: strategy erasure_mix needs a symbol word" in err
+    with pytest.raises(ValueError, match="erasure_mix needs a symbol word"):
+        run_experiment(dict(load_profile(profile), strategy="erasure_mix"), trials=1, seed=0)
+
+
+def test_cli_corrupt_keeps_erasure_mix_from_the_profile(tmp_path, capsys):
+    word = np.arange(200, dtype=np.int32) % 16
+    write_stream_file(tmp_path / "w.bin", word, 4)
+    path = tmp_path / "p.profile"
+    path.write_text(dump_profile(dict(load_profile("tensor-small"), strategy="erasure_mix",
+                                      rho="1/10")))
+    assert main(["corrupt", "--profile", str(path), "--in", str(tmp_path / "w.bin"),
+                 "--out", str(tmp_path / "bad.bin")]) == 0
+    assert json.loads(capsys.readouterr().out)["strategy"] == "erasure_mix"
+    assert (read_stream_file(tmp_path / "bad.bin")[0] == ERASE).any()
+
+
+@pytest.mark.parametrize("rho", ["-1/5", "6/5", "-1"])
+def test_rho_outside_unit_interval_is_rejected(tmp_path, capsys, rho):
+    prof = dict(load_profile("repeat-unit"), rho=rho)
+    assert any(e.startswith("rho: ") for e in validate_profile(prof))
+    with pytest.raises(ValueError, match="rho"):
+        run_experiment(prof, trials=1, seed=0)
+    with pytest.raises(ValueError, match="rho"):
+        ErrorBudget(Fraction(rho), 100)
+    path = tmp_path / "p.profile"
+    path.write_text(dump_profile(prof))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--profile", str(path), "--trials", "1"])
+    assert exc.value.code == 2
+    assert "profile error: rho: " in capsys.readouterr().err
+    write_stream_file(tmp_path / "w.bin", np.zeros(100, dtype=np.int32), 0)
+    with pytest.raises(SystemExit) as exc:
+        main(["corrupt", "--profile", "repeat-unit", f"--rho={rho}",
+              "--in", str(tmp_path / "w.bin"), "--out", str(tmp_path / "bad.bin")])
+    assert exc.value.code == 2
+    assert "profile error: rho: " in capsys.readouterr().err
+    assert not (tmp_path / "bad.bin").exists()
+
+
+@pytest.mark.parametrize("rho", ["0", "1/3", "1"])
+def test_rho_inside_unit_interval_is_accepted(rho):
+    assert validate_profile(dict(load_profile("repeat-unit"), rho=rho)) == []
+    assert ErrorBudget(Fraction(rho), 10).rho == Fraction(rho)
 
 
 def test_validate_profile_bad_codec():

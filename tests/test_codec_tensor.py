@@ -10,7 +10,7 @@ import pytest
 
 from streamcode.gf import ERASE, GF, field_mul
 from streamcode.codes import (LinearCode, codebook, doubly_extended_rs,
-                              min_distance_bruteforce)
+                              min_distance_bruteforce, symbol_words)
 from streamcode.ldc_core import encode
 from streamcode.ldc_large import LargeLdcParams, confidence_from_words_large, gen_qlists
 from streamcode.profiles import build_params, load_profile
@@ -22,8 +22,7 @@ from streamcode.codec_tensor import (LinearFunctional, TensorParams,
                                      linear_dec_traced, recurse_linear,
                                      tensor_encode, tensor_regime,
                                      _base_tables, _coin, _decode_base_blocks,
-                                     _fill_level1, _fold, _node_values,
-                                     _symbol_bit_words)
+                                     _fill_level1, _fold, _node_values)
 
 GF4 = GF(2)
 
@@ -235,7 +234,7 @@ def word_with_blocks(P, blocks):
 
 def test_base_outcome_uncorrupted_always_accepts():
     P = toy_params()
-    words = _symbol_bit_words(P)
+    words = symbol_words(P.base_code, P.K)
     keys = [(s, seed) for s in range(4) for seed in range(5)]
     word = word_with_blocks(P, {k: words[k[0]] for k in keys})
     rng = random.Random(0)
@@ -246,7 +245,7 @@ def test_base_outcome_uncorrupted_always_accepts():
 
 def test_base_outcome_two_flips_half_acceptance():
     P = toy_params()
-    words = _symbol_bit_words(P)
+    words = symbol_words(P.base_code, P.K)
     rng = random.Random(404)
     trials = 800
     keys = [divmod(t, P.R) for t in range(trials)]
@@ -281,7 +280,7 @@ def test_base_outcome_shared_across_rngs():
     into the level-1 nodes, and every instance then sees the same node value,
     drawing nothing but its own acceptance coin."""
     P = toy_params()
-    words = _symbol_bit_words(P)
+    words = symbol_words(P.base_code, P.K)
     blocks = {}
     for t in range(30):
         blk = words[t % 4].copy()

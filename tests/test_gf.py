@@ -6,17 +6,21 @@ implementation existed; those expected values are FROZEN here.
 """
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from streamcode import codec_tensor, codes, ldc_core
 from streamcode.gf import (
-    ERASE, GF, MODULI, elem_from_hex, elem_to_hex, embed, field_add,
+    ERASE, GF, MODULI, Packing, elem_from_hex, elem_to_hex, embed, field_add,
     field_generator, field_inv, field_mul, field_pow, gf_matvec,
-    pack_symbols, poly_eval, poly_interpolate, poly_mul, powers,
+    pack_symbols, packing, poly_eval, poly_interpolate, poly_mul, powers,
     unpack_symbol, word_from_hex, word_to_hex,
 )
+from streamcode.ldc_binary import BinaryLdcParams
+from streamcode.profiles import build_params, load_profile
 
 ALL_K = sorted(MODULI)
 
@@ -208,6 +212,91 @@ def test_pack_first_slot_is_plain_embedding():
     K, F = GF(2), GF(4)
     for a in range(4):
         assert pack_symbols(K, F, (a, 0)) == embed(K, F, a)
+
+
+def _reference_packing(K, F):
+    """The packing built the old way: one dict each way between tuples of
+    K-symbols and F-symbols, over the basis 1, g, ..., g^(e-1) of F."""
+    e = F.k // K.k
+    basis = [field_pow(F, field_generator(F), j) for j in range(e)]
+    pack, unpack = {}, {}
+    for tup in np.ndindex(*([K.q] * e)):   # lex order, symbol 0 slowest
+        v = 0
+        for j, s in enumerate(tup):
+            v ^= field_mul(F, embed(K, F, s), basis[j])
+        pack[tup], unpack[v] = v, tup
+    return pack, unpack
+
+
+PACK_PAIRS = [(kk, kf) for kk in MODULI for kf in MODULI if kf % kk == 0 and kf <= 10]
+
+
+@pytest.mark.parametrize("kk,kf", PACK_PAIRS, ids=[f"{kk}-{kf}" for kk, kf in PACK_PAIRS])
+def test_packing_arrays_match_dict_reference(kk, kf):
+    K, F = GF(kk), GF(kf)
+    pk = packing(K, F)
+    pack, unpack = _reference_packing(K, F)
+    groups = list(pack)
+    assert pk.sym.tolist() == [pack[t] for t in groups]
+    assert [tuple(row) for row in pk.digits.tolist()] == [unpack[s] for s in range(F.q)]
+    # inverse bijections of [0, |F|)
+    assert sorted(pk.sym.tolist()) == list(range(F.q))
+    assert np.array_equal(pk.lex[pk.sym], np.arange(F.q))
+    assert np.array_equal(pk.sym[pk.lex], np.arange(F.q))
+    assert np.array_equal(pk.digits @ K.q ** np.arange(F.k // K.k - 1, -1, -1), pk.lex)
+    assert [pack_symbols(K, F, t) for t in groups] == [pack[t] for t in groups]
+    assert [unpack_symbol(K, F, s) for s in range(F.q)] == [unpack[s] for s in range(F.q)]
+    assert packing(K, F) is pk   # built once per field pair, shared read-only
+    assert not any(table.flags.writeable for table in pk)
+
+
+def _flipped(pk: Packing) -> Packing:
+    """Another bijection in the same layout: F-symbol s becomes s ^ 1."""
+    flip = np.arange(len(pk.sym)) ^ 1
+    return Packing(pk.sym ^ 1, pk.lex[flip], pk.digits[flip])
+
+
+def test_packing_consumers_read_gfs_arrays(monkeypatch):
+    """Codebook, GmdTables, RmLdc and the tensor base table take the packing
+    from gf.packing: handed another bijection there, each one follows it, so
+    a table a module built for itself would show here."""
+    fakes = {}
+
+    def fake_packing(K, F):
+        return fakes.setdefault((K.k, F.k), _flipped(packing(K, F)))
+
+    K, F = GF(1), GF(4)
+    outer = codes.make_systematic(codes.rs_code(F, list(range(1, 16)), 3))
+    cc = codes.concat(outer, codes.extended_hamming_code())
+    tensor = build_params(load_profile("tensor-toy"))
+    for module in (codes, ldc_core, codec_tensor):
+        monkeypatch.setattr(module, "packing", fake_packing)
+    fake = fake_packing(K, F)
+    assert not np.array_equal(fake.sym, packing(K, F).sym)
+
+    rows = np.array([[0, 1, 2], [15, 7, 3], [6, 6, 9]])
+    got = codes.Codebook(cc).index_of_packed(rows)
+    assert got.tolist() == (fake.lex[rows] @ F.q ** np.arange(2, -1, -1)).tolist()
+
+    h = np.array([3, 10, 13])
+    assert codes.GmdTables(cc).message(outer.encode(h)).tolist() == fake.digits[h].ravel().tolist()
+    word = cc.encode(np.arange(12) % 2)
+    blocks = word.reshape(-1, cc.block_len)
+    best = np.argmin(codes.block_dist2(blocks, codes.codebook(cc.inner).words), axis=1)
+    assert codes._gmd_inner(cc, word)[1].tolist() == fake.sym[best].tolist()
+
+    p = BinaryLdcParams(F=F, m=2, d=1, inner=codes.extended_hamming_code(), n=12,
+                        eps=Fraction(1, 5))
+    assert p.packing is fake   # ldc_large's curve decoder reads it there too
+    assert p.pack([1, 0, 0, 0, 0, 1, 1, 0]).tolist() == fake.sym[[8, 6]].tolist()
+
+    syms = codec_tensor._base_tables(tensor)[0]
+    N = tensor.N_inner
+    bits = (np.arange(1 << N)[:, None] >> np.arange(N)) & 1
+    best = np.argmin(codes.block_dist2(bits, codes.codebook(tensor.base_code).words), axis=1)
+    kept = syms >= 0
+    assert kept.any()
+    assert syms[kept].tolist() == fake_packing(GF(1), tensor.K).sym[best[kept]].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
-"""Every name imported into the library, the scripts and the tests is used there.
+"""Every name imported into the library, the scripts and the tests is used
+there, and every module-level function and class of the library and the
+scripts is used somewhere.
 
-A walk over each module's syntax tree: the names an import statement binds
-must each appear somewhere else in the module as a name (a bare reference,
-the base of an attribute access, a decorator or an annotation).
+Both checks walk syntax trees.  The names an import statement binds must
+each appear somewhere else in the module as a name (a bare reference, the
+base of an attribute access, a decorator or an annotation).  A definition
+must be referenced outside its own body somewhere in src, scripts, tests or
+bench: as a name, as an attribute (``module.name``), or as a string (the
+bench patches library functions by attribute name).
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,6 +19,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = [path for sub in ("src/streamcode", "scripts", "tests")
            for path in sorted((ROOT / sub).glob("*.py"))]
+DEFINING = [path for path in MODULES if path.parent.name != "tests"]
+READERS = MODULES + sorted((ROOT / "bench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -29,6 +37,30 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
+def references(tree) -> Counter:
+    """How often each name is referenced in a syntax tree."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            out[node.value] += 1
+    return out
+
+
+def dead_definitions(source: str, readers: list) -> list:
+    """(line, name) of each module-level function or class of `source` that
+    no tree in `readers` references outside its own definition."""
+    seen = sum((references(tree) for tree in readers), Counter())
+    defs = [node for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    return [(node.lineno, node.name) for node in defs
+            if seen[node.name] == references(node)[node.name]]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -37,3 +69,23 @@ def test_no_unused_imports(path):
 def test_unused_import_is_caught():
     src = "from functools import lru_cache\nimport numpy as np\nx = np.zeros(1)\n"
     assert unused_imports(src) == [(1, "lru_cache")]
+
+
+@pytest.fixture(scope="module")
+def reader_trees():
+    return [ast.parse(path.read_text()) for path in READERS]
+
+
+@pytest.mark.parametrize("path", DEFINING, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_dead_definitions(path, reader_trees):
+    assert dead_definitions(path.read_text(), reader_trees) == []
+
+
+def test_dead_definition_is_caught():
+    src = ("def used():\n    return 1\n\n"
+           "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
+           "class Orphan:\n    pass\n\n"
+           "def patched():\n    pass\n\n"
+           "x = used()\n")
+    readers = [ast.parse(src), ast.parse("WRAPPED = [(mod, 'patched')]\n")]
+    assert dead_definitions(src, readers) == [(4, "recursive"), (7, "Orphan")]

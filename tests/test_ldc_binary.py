@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamcode.gf import GF, pack_symbols, poly_eval, poly_interpolate
+from streamcode.gf import ERASE, GF, pack_symbols, poly_eval, poly_interpolate
 from streamcode.codes import (codebook, extended_hamming_code, list_decode_concat,
                               replicate, simplex_code, unique_decode)
 from streamcode.ldc_binary import (
@@ -218,6 +218,23 @@ def test_advice_wrong_but_valid_advice_changes_answer_or_mismatches():
         wrong_sym_bits = p.inner_words[8]
     with pytest.raises(AdviceMismatch):
         decode_with_advice(w, 0, adv, wrong_sym_bits, p, rng)
+
+
+def test_advice_symbols_read_exact_inner_codewords_only():
+    """An advice block gives the symbol whose inner codeword it is; one flip
+    or one erasure away from every inner codeword, it gives None."""
+    p = toy_params(k_adv=2)
+    L = p.block_len
+    for s, t in [(0, 5), (9, 15), (7, 7)]:
+        vals = np.concatenate([p.inner_words[s], p.inner_words[t]])
+        assert advice_symbols(p, vals) == [s, t]
+        assert all(type(v) is int for v in advice_symbols(p, vals))
+        for pos in (0, 3, L + 1, 2 * L - 1):
+            for mark in ("flip", "erase"):
+                bad = vals.copy()
+                bad[pos] = bad[pos] ^ 1 if mark == "flip" else ERASE
+                want = [None, t] if pos < L else [s, None]
+                assert advice_symbols(p, bad) == want
 
 
 def _passes_advice(p, msg, nodes, syms):

@@ -132,7 +132,7 @@ def decode_curve_one(p, word):
     i = int(np.argmin(d2))
     if Fraction(int(d2[i]), 2 * cc.code_len) > Fraction(1, 2) - p.eps / 2:
         return None
-    return int(p.pack_tbl[i // p.F.q ** (cc.outer.msg_len - 1)]), int(d2[i])
+    return int(p.packing.sym[i // p.F.q ** (cc.outer.msg_len - 1)]), int(d2[i])
 
 
 def test_batched_curve_decode_matches_one_word_decodes():
@@ -144,7 +144,7 @@ def test_batched_curve_decode_matches_one_word_decodes():
     # where the two differ leaves a word equally far from both
     weights = cb.dist2_scan(np.zeros(cc.code_len, dtype=np.int32))
     hi = top + int(np.argmin(weights[top:]))
-    assert p.pack_tbl[hi // top] != p.pack_tbl[0]
+    assert p.packing.sym[hi // top] != p.packing.sym[0]
     c1 = cc.encode(cb.msg_of_index(hi))
     tie = np.where(c1 == 0, 0, ERASE)
     erased = int(weights[hi]) // 2          # one dist2 unit per erasure
@@ -159,7 +159,7 @@ def test_batched_curve_decode_matches_one_word_decodes():
         words.append(w)
     words.insert(SCAN_CHUNK + 3, tie)   # the tie again, inside a later chunk
     want = [decode_curve_one(p, w) for w in words]
-    assert want[0] == (int(p.pack_tbl[0]), erased)   # the tie goes to message 0
+    assert want[0] == (int(p.packing.sym[0]), erased)   # the tie goes to message 0
     assert want[1] is None and None in want[2:] and want.count(None) < len(want) - 2
     assert decode_curves_large(p, words) == want
     assert decode_curves_large(p, np.array(words)) == want
