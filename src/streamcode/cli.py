@@ -2,11 +2,14 @@
 machine-readable JSON reports.
 
 Subcommands: repeat-encode, repeat-decode, linear-encode, linear-decode,
-corrupt, run, verify-tables.  Binary words travel in the stream file format;
-reports are JSON with sorted keys and no timestamps, and embed the full
-profile echo so any run can be reproduced bit-exactly from the report alone.
-Exit status is nonzero when a deterministic invariant fired (memory budget,
-overlap cap, out-of-order tape write) or a verification check failed.
+corrupt, run, verify-tables, show-profile.  Binary words travel in the
+stream file format; reports are JSON with sorted keys and no timestamps, and
+embed the full profile echo so any run can be reproduced bit-exactly from
+the report alone.
+Exit status is 2 for a profile or input-file error, found before any work;
+1 when a deterministic invariant fired (memory budget, overlap cap,
+out-of-order tape write) or a verification check failed; and 0 otherwise.
+A wrong or truncated decode is reported in the JSON, not the exit status.
 """
 
 from __future__ import annotations
@@ -73,11 +76,16 @@ def _load_valid_profile(name: str, codecs: tuple = (), overrides: dict | None = 
                       f"not codec {prof.get('codec')!r}"]
         else:
             errors = validate_profile(prof) + (_bit_word_errors(prof) if codecs else [])
+    _exit_on(errors)
+    return prof
+
+
+def _exit_on(errors: list):
+    """Print each profile error and exit 2, when there are any."""
     if errors:
         for err in errors:
             print(f"profile error: {err}", file=sys.stderr)
         raise SystemExit(2)
-    return prof
 
 
 def _bit_word_errors(prof: dict) -> list:
@@ -87,29 +95,36 @@ def _bit_word_errors(prof: dict) -> list:
         if strategy in SYMBOL_ONLY else []
 
 
+class _NotBits(ValueError):
+    """A file that must hold a bit stream holds symbols; main exits 2."""
+
+
+def _read_bits(path: str, what: str):
+    word, field_k = read_stream_file(path)
+    if field_k != 0:
+        raise _NotBits(f"{what} file must be a bit stream")
+    return word
+
+
 def _chan_rng(seed: int, trial, role: str) -> random.Random:
     return random.Random(f"{seed}:{trial}:{role}")
 
 
-def _attack(prof: dict, params, rho: Fraction, word_len: int):
-    _, name, opts = channel_spec(prof)
+def _attack(prof: dict, params, word_len: int):
+    """The profile's attack and the ErrorBudget, carrying its rho, for a word."""
+    rho, name, opts = channel_spec(prof)
     if prof["codec"] == "repeat" and name == "copy_kill":
         opts.setdefault("copy_len", params.ldc.code_len)
-    budget = ErrorBudget(rho=rho, m=word_len)
-    return AttackStrategy(name, opts), budget
+    return AttackStrategy(name, opts), ErrorBudget(rho=rho, m=word_len)
 
 
 # ---------------------------------------------------------------------------
 # encode / decode / corrupt subcommands
 
-def cmd_repeat_encode(args) -> int:
-    prof = _load_valid_profile(args.profile, ("repeat",))
-    params = build_params(prof)
-    msg, field_k = read_stream_file(args.infile)
-    if field_k != 0:
-        print("message file must be a bit stream", file=sys.stderr)
-        return 2
-    word = enc_repeat(params, msg)
+def cmd_encode(args) -> int:
+    prof = _load_valid_profile(args.profile, (args.codec,))
+    encode = enc_repeat if args.codec == "repeat" else enc_linear
+    word = encode(build_params(prof), _read_bits(args.infile, "message"))
     write_stream_file(args.outfile, word, 0)
     _write_report({"profile": prof, "code_bits": len(word),
                    "out": args.outfile}, None)
@@ -121,10 +136,7 @@ def cmd_repeat_decode(args) -> int:
     params = build_params(prof)
     if args.budget_bits is not None:
         params.budget_bits = args.budget_bits
-    word, field_k = read_stream_file(args.infile)
-    if field_k != 0:
-        print("codeword file must be a bit stream", file=sys.stderr)
-        return 2
+    word = _read_bits(args.infile, "codeword")
     ledger = MemoryLedger(params.budget_bits)
     invariant_fired = False
     try:
@@ -147,29 +159,12 @@ def cmd_repeat_decode(args) -> int:
     return 1 if invariant_fired else 0
 
 
-def cmd_linear_encode(args) -> int:
-    prof = _load_valid_profile(args.profile, ("tensor",))
-    params = build_params(prof)
-    msg, field_k = read_stream_file(args.infile)
-    if field_k != 0:
-        print("message file must be a bit stream", file=sys.stderr)
-        return 2
-    word = enc_linear(params, msg)
-    write_stream_file(args.outfile, word, 0)
-    _write_report({"profile": prof, "code_bits": len(word),
-                   "out": args.outfile}, None)
-    return 0
-
-
 def cmd_linear_decode(args) -> int:
     prof = _load_valid_profile(args.profile, ("tensor",))
     params = build_params(prof)
     with open(args.functional) as fh:
         ell = word_from_hex(GF(1), fh.read().strip())
-    word, field_k = read_stream_file(args.infile)
-    if field_k != 0:
-        print("codeword file must be a bit stream", file=sys.stderr)
-        return 2
+    word = _read_bits(args.infile, "codeword")
     invariant_fired = False
     try:
         bit, diag = linear_dec_traced(params, SymbolStream(word), ell,
@@ -181,6 +176,8 @@ def cmd_linear_decode(args) -> int:
     except ResampleExhausted as exc:
         report = {"error": f"query-list resampling exhausted: {exc}"}
         invariant_fired = True
+    except StreamExhausted as exc:
+        report = {"error": f"stream exhausted: {exc}"}
     report.update({"profile": prof, "seed": args.seed,
                    "invariant_fired": invariant_fired})
     _write_report(report, args.report)
@@ -190,10 +187,10 @@ def cmd_linear_decode(args) -> int:
 def cmd_corrupt(args) -> int:
     prof = _load_valid_profile(args.profile,
                                overrides={"strategy": args.strategy, "rho": args.rho})
-    params = build_params(prof)
-    rho, _, _ = channel_spec(prof)
     word, field_k = read_stream_file(args.infile)
-    strategy, budget = _attack(prof, params, rho, len(word))
+    if field_k == 0:
+        _exit_on(_bit_word_errors(prof))
+    strategy, budget = _attack(prof, build_params(prof), len(word))
     bad = corrupt(word, strategy, budget, _chan_rng(args.seed, "one", "chan"),
                   field_k)
     write_stream_file(args.outfile, bad, field_k)
@@ -201,7 +198,7 @@ def cmd_corrupt(args) -> int:
         write_stream_file(args.mask_out,
                           (word != bad).astype(np.int32), 0)
     _write_report({"profile": prof, "strategy": strategy.name,
-                   "rho": rho, "limit": budget.limit,
+                   "rho": budget.rho, "limit": budget.limit,
                    "changed": int((word != bad).sum()),
                    "dist2": word_dist2(word, bad),
                    "out": args.outfile}, None)
@@ -215,8 +212,7 @@ def _repeat_trial(prof, params, seed, trial):
     nrng = np.random.default_rng([seed, trial])
     x = nrng.integers(0, 2, size=params.msg_bits).astype(np.int32)
     word = enc_repeat(params, x)
-    rho, _, _ = channel_spec(prof)
-    strategy, budget = _attack(prof, params, rho, len(word))
+    strategy, budget = _attack(prof, params, len(word))
     bad = corrupt(word, strategy, budget, _chan_rng(seed, trial, "chan"))
     errors_per_copy = (word != bad).reshape(params.copies, -1).sum(axis=1).tolist()
     res = dec_repeat(params, SymbolStream(bad), _chan_rng(seed, trial, "dec"))
@@ -241,8 +237,7 @@ def _tensor_trial(prof, params, seed, trial):
     x = nrng.integers(0, 2, size=params.n).astype(np.int32)
     ell = nrng.integers(0, 2, size=params.n).astype(np.int32)
     word = enc_linear(params, x)
-    rho, _, _ = channel_spec(prof)
-    strategy, budget = _attack(prof, params, rho, len(word))
+    strategy, budget = _attack(prof, params, len(word))
     bad = corrupt(word, strategy, budget, _chan_rng(seed, trial, "chan"))
     bit, diag = linear_dec_traced(params, SymbolStream(bad), ell,
                                   _chan_rng(seed, trial, "dec"))
@@ -265,7 +260,9 @@ def run_experiment(prof: dict, trials: int | None = None,
     params = build_params(prof)
     trials = int(prof["trials"]) if trials is None else trials
     seed = int(prof["seed"]) if seed is None else seed
-    trial_fn = _repeat_trial if prof["codec"] == "repeat" else _tensor_trial
+    repeat = prof["codec"] == "repeat"
+    trial_fn, msg_len, code_len = ((_repeat_trial, params.msg_bits, params.code_len) if repeat
+                                   else (_tensor_trial, params.n, params.code_bits))
     outcomes, invariant_fired = [], False
     for t in range(trials):
         try:
@@ -282,13 +279,10 @@ def run_experiment(prof: dict, trials: int | None = None,
     agg = {
         "trials": trials,
         "success_rate": wins / trials if trials else 1.0,
-        "measured_code_len": (params.code_len if prof["codec"] == "repeat"
-                              else params.code_bits),
-        "measured_rate": str(Fraction(
-            params.msg_bits if prof["codec"] == "repeat" else params.n,
-            params.code_len if prof["codec"] == "repeat" else params.code_bits)),
+        "measured_code_len": code_len,
+        "measured_rate": str(Fraction(msg_len, code_len)),
     }
-    if prof["codec"] == "repeat":
+    if repeat:
         used = [o["copies_used"] for o in outcomes if "copies_used" in o]
         agg["mean_copies_used"] = sum(used) / len(used) if used else None
         peaks = [o["peak_bits"] for o in outcomes if "peak_bits" in o]
@@ -370,11 +364,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--report", default=None,
                            help="write the JSON report here (default stdout)")
 
-    p = sub.add_parser("repeat-encode", help="encode a message for the repeat codec")
-    common(p, report=False)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", dest="outfile", required=True)
-    p.set_defaults(fn=cmd_repeat_encode)
+    for command, codec in (("repeat-encode", "repeat"), ("linear-encode", "tensor")):
+        p = sub.add_parser(command, help=f"encode a message for the {codec} codec")
+        common(p, report=False)
+        p.add_argument("--in", dest="infile", required=True)
+        p.add_argument("--out", dest="outfile", required=True)
+        p.set_defaults(fn=cmd_encode, codec=codec)
 
     p = sub.add_parser("repeat-decode", help="stream-decode a repeat codeword")
     common(p)
@@ -384,12 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="outfile", default=None,
                    help="write the decoded message here on success")
     p.set_defaults(fn=cmd_repeat_decode)
-
-    p = sub.add_parser("linear-encode", help="encode a message for the tensor codec")
-    common(p, report=False)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", dest="outfile", required=True)
-    p.set_defaults(fn=cmd_linear_encode)
 
     p = sub.add_parser("linear-decode",
                        help="decode one linear functional of the message")
@@ -432,7 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except _NotBits as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

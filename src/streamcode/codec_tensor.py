@@ -144,15 +144,6 @@ def default_instances(n: int) -> int:
     return min(49, max(9, math.ceil(math.log2(n)) ** 2))
 
 
-def tensor_regime(n: int, eps: Fraction, s: int) -> dict:
-    """Parameter relations of the construction at scale: axis arity from the
-    space budget, depth from the message length, per-level error share."""
-    r = round(s ** 0.2)
-    d = math.ceil(math.log(n) / math.log(r))
-    return {"r": r, "depth": d, "eps_prime": Fraction(eps) / (10 * d),
-            "instances": default_instances(n)}
-
-
 # ---------------------------------------------------------------------------
 # encoding
 

@@ -257,9 +257,7 @@ def rm_code(F: FieldSpec, m: int, d: int) -> LinearCode:
                 col = mul_arrays(F, col, pow_lut[coords[:, a], e])
         cols.append(col)
     gen = np.stack(cols, axis=1)
-    code = LinearCode(F, gen, kind="rm", dist2_bound=2 * (q - d) * q ** (m - 1))
-    code.rm_m, code.rm_d = m, d
-    return code
+    return LinearCode(F, gen, kind="rm", dist2_bound=2 * (q - d) * q ** (m - 1))
 
 
 def make_systematic(code: LinearCode) -> LinearCode:
@@ -270,9 +268,8 @@ def make_systematic(code: LinearCode) -> LinearCode:
         raise ValueError("generator does not have full column rank")
     new = LinearCode(code.field, R.T, kind=code.kind,
                      systematic_positions=tuple(pivots), dist2_bound=code.dist2_bound)
-    for attr in ("rm_m", "rm_d", "eval_points"):
-        if hasattr(code, attr):
-            setattr(new, attr, getattr(code, attr))
+    if hasattr(code, "eval_points"):
+        new.eval_points = code.eval_points
     return new
 
 

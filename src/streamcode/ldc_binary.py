@@ -22,7 +22,6 @@ without random access.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -251,22 +250,3 @@ def decode_with_advice(oracle, i: int, adv: AdvicePositions, adv_values,
     AdviceMismatch when the advice never pins down a unique candidate."""
     plan = sample_advice_plan(params, i, adv, rng, index=index)
     return decode_advice_from_words(params, plan, gather(oracle, plan.positions), adv_values)
-
-
-# ---------------------------------------------------------------------------
-# asymptotic parameter relations (documentation/validation only)
-
-def asymptotic_regime(n: int, eps: Fraction) -> dict:
-    """The asymptotic parameter relations behind the construction, for a
-    query budget Q: q ~ sqrt(Q), d ~ eps^6 sqrt(Q)/4, m ~ log n / log d, with
-    t_smooth ~ Q^(1/3), t_advice ~ sqrt(Q), k_adv = ceil(1/eps).  Returned for
-    inspection; desk-scale profiles override all of them."""
-    eps = Fraction(eps)
-    Q = max(16, math.ceil((math.log(max(n, 2)) / float(eps)) ** 6))
-    q = 1 << max(1, math.ceil(math.log2(math.sqrt(Q))))
-    d = max(1, math.floor(float(eps) ** 6 * math.sqrt(Q) / 4))
-    m = max(1, math.ceil(math.log(max(n, 2)) / math.log(max(d, 2) + 1)))
-    return {"Q": Q, "q": q, "d": d, "m": m,
-            "t_smooth": max(1, round(Q ** (1 / 3))),
-            "t_advice": max(1, round(math.sqrt(Q))),
-            "k_adv": math.ceil(1 / float(eps))}

@@ -5,7 +5,10 @@ A profile is a flat mapping of string keys to string values.  Keys with the
 derive from its scaling formulas — every desk-scale profile pins everything,
 so the echo makes each relaxation explicit.  Plain keys carry run policy
 (channel rate, attack strategy, trial counts, base seed).  ``strategy.``
-prefixed keys pass numeric options to the attack.
+prefixed keys pass numeric options to the attack.  `OVERRIDE_KEYS` lists each
+codec's ``override.`` keys, in the order errors name them, with the parser of
+their values, and `RUN_KEYS` the plain keys; `validate_profile` and
+`build_params` both read them there.
 
 Reports embed the profile verbatim, and `build_params` is deterministic in
 it, so a report can be re-run bit-exactly from its own echo.
@@ -172,25 +175,18 @@ def load_profile(name_or_path: str) -> dict:
 # ---------------------------------------------------------------------------
 # validation and parameter construction
 
-_REQUIRED = {
-    "repeat": ["override.f_k", "override.m", "override.d", "override.inner",
-               "override.n", "override.eps", "override.t_smooth",
-               "override.t_advice", "override.k_adv", "override.copies",
-               "override.v", "override.r_out", "override.budget_bits",
-               "override.threshold_variant"],
-    "tensor": ["override.k_k", "override.e", "override.m", "override.d",
-               "override.inner", "override.r", "override.eps", "override.t",
-               "override.depth", "override.n", "override.instances"],
+OVERRIDE_KEYS = {
+    "repeat": {"override.f_k": int, "override.m": int, "override.d": int, "override.inner": str,
+               "override.n": int, "override.eps": Fraction, "override.t_smooth": int,
+               "override.t_advice": int, "override.k_adv": int, "override.copies": int,
+               "override.v": int, "override.r_out": int, "override.budget_bits": int,
+               "override.threshold_variant": str},
+    "tensor": {"override.k_k": int, "override.e": int, "override.m": int, "override.d": int,
+               "override.inner": str, "override.r": int, "override.eps": Fraction,
+               "override.t": int, "override.depth": int, "override.n": int,
+               "override.instances": int},
 }
-
-_INT_KEYS = {"override.f_k", "override.k_k", "override.e", "override.m",
-             "override.d", "override.n", "override.t_smooth",
-             "override.t_advice", "override.k_adv", "override.copies",
-             "override.v", "override.r_out", "override.budget_bits",
-             "override.r", "override.t", "override.depth",
-             "override.instances", "trials", "seed"}
-
-_FRACTION_KEYS = {"override.eps", "rho"}
+RUN_KEYS = {"rho": Fraction, "strategy": str, "trials": int, "seed": int}
 
 
 def validate_profile(prof: dict) -> list:
@@ -199,31 +195,22 @@ def validate_profile(prof: dict) -> list:
     codec = prof.get("codec")
     if "name" not in prof:
         errors.append("missing key: name")
-    if codec not in _REQUIRED:
-        errors.append(f"codec must be one of {sorted(_REQUIRED)}, got {codec!r}")
+    if codec not in OVERRIDE_KEYS:
+        errors.append(f"codec must be one of {sorted(OVERRIDE_KEYS)}, got {codec!r}")
         return errors
-    for key in _REQUIRED[codec] + ["rho", "strategy", "trials", "seed"]:
-        if key not in prof:
+    keys = {**OVERRIDE_KEYS[codec], **RUN_KEYS}
+    keys.update((key, int) for key in prof if key.startswith("strategy."))
+    for key, parse in keys.items():
+        try:
+            value = parse(prof[key])
+        except KeyError:
             errors.append(f"missing key: {key}")
-    for key, value in prof.items():
-        if key in _INT_KEYS:
-            try:
-                int(value)
-            except ValueError:
-                errors.append(f"{key}: not an integer: {value!r}")
-        elif key in _FRACTION_KEYS:
-            try:
-                f = Fraction(value)
-            except (ValueError, ZeroDivisionError):
-                errors.append(f"{key}: not a fraction: {value!r}")
-            else:
-                if key == "rho" and not 0 <= f <= 1:
-                    errors.append(f"rho: must lie in [0, 1], got {value}")
-        elif key.startswith("strategy."):
-            try:
-                int(value)
-            except ValueError:
-                errors.append(f"{key}: not an integer: {value!r}")
+        except (ValueError, ZeroDivisionError):
+            kind = "an integer" if parse is int else "a fraction"
+            errors.append(f"{key}: not {kind}: {prof[key]!r}")
+        else:
+            if key == "rho" and not 0 <= value <= 1:
+                errors.append(f"rho: must lie in [0, 1], got {prof[key]}")
     strategy = prof.get("strategy")
     if strategy is not None and strategy not in STRATEGY_OPTIONS:
         errors.append(f"strategy: unknown {strategy!r} (known: {', '.join(STRATEGY_OPTIONS)})")
@@ -248,45 +235,45 @@ def validate_profile(prof: dict) -> list:
 
 def build_params(prof: dict):
     """RepeatParams or TensorParams, deterministically from the flat echo."""
-    g = prof.__getitem__
+    if prof["codec"] not in OVERRIDE_KEYS:
+        raise ValueError(f"unknown codec {prof['codec']!r}")
+    val = {key.removeprefix("override."): parse(prof[key])
+           for key, parse in {**OVERRIDE_KEYS[prof["codec"]], **RUN_KEYS}.items()}
     if prof["codec"] == "repeat":
         ldc = BinaryLdcParams(
-            F=GF(int(g("override.f_k"))),
-            m=int(g("override.m")),
-            d=int(g("override.d")),
-            inner=INNER_CODES[g("override.inner")](),
-            n=int(g("override.n")),
-            eps=Fraction(g("override.eps")),
-            t_smooth=int(g("override.t_smooth")),
-            t_advice=int(g("override.t_advice")),
-            k_adv=int(g("override.k_adv")))
+            F=GF(val["f_k"]),
+            m=val["m"],
+            d=val["d"],
+            inner=INNER_CODES[val["inner"]](),
+            n=val["n"],
+            eps=val["eps"],
+            t_smooth=val["t_smooth"],
+            t_advice=val["t_advice"],
+            k_adv=val["k_adv"])
         return RepeatParams(
             ldc=ldc,
-            msg_bits=int(g("override.n")),
-            copies=int(g("override.copies")),
-            v=int(g("override.v")),
-            r_out=int(g("override.r_out")),
-            budget_bits=int(g("override.budget_bits")),
-            threshold_variant=g("override.threshold_variant"),
-            rho=Fraction(g("rho")))
-    if prof["codec"] == "tensor":
-        K = GF(int(g("override.k_k")))
-        ldc = LargeLdcParams(
-            K=K,
-            e=int(g("override.e")),
-            m=int(g("override.m")),
-            d=int(g("override.d")),
-            inner=INNER_CODES[g("override.inner")](),
-            r=int(g("override.r")),
-            eps=Fraction(g("override.eps")),
-            t=int(g("override.t")))
-        return TensorParams(
-            ldc=ldc,
-            depth=int(g("override.depth")),
-            n=int(g("override.n")),
-            base_code=base_symbol_code(K),
-            instances=int(g("override.instances")))
-    raise ValueError(f"unknown codec {prof['codec']!r}")
+            msg_bits=val["n"],
+            copies=val["copies"],
+            v=val["v"],
+            r_out=val["r_out"],
+            budget_bits=val["budget_bits"],
+            threshold_variant=val["threshold_variant"],
+            rho=val["rho"])
+    ldc = LargeLdcParams(
+        K=GF(val["k_k"]),
+        e=val["e"],
+        m=val["m"],
+        d=val["d"],
+        inner=INNER_CODES[val["inner"]](),
+        r=val["r"],
+        eps=val["eps"],
+        t=val["t"])
+    return TensorParams(
+        ldc=ldc,
+        depth=val["depth"],
+        n=val["n"],
+        base_code=base_symbol_code(ldc.K),
+        instances=val["instances"])
 
 
 def channel_spec(prof: dict):

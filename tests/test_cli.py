@@ -191,6 +191,23 @@ def test_cli_corrupt_keeps_erasure_mix_from_the_profile(tmp_path, capsys):
     assert (read_stream_file(tmp_path / "bad.bin")[0] == ERASE).any()
 
 
+@pytest.mark.parametrize("via", ["flag", "profile"])
+def test_cli_corrupt_rejects_erasure_mix_on_a_bit_file(tmp_path, capsys, via):
+    """erasure_mix needs a symbol word: on a bit stream file, corrupt exits 2
+    with the bit-word profile error and writes nothing."""
+    write_stream_file(tmp_path / "w.bin", np.arange(200, dtype=np.int32) % 2, 0)
+    path = tmp_path / "p.profile"
+    path.write_text(dump_profile(dict(load_profile("tensor-small"), strategy="erasure_mix")))
+    args = {"flag": ["--profile", "tensor-small", "--strategy", "erasure_mix"],
+            "profile": ["--profile", str(path)]}[via]
+    with pytest.raises(SystemExit) as exc:
+        main(["corrupt", *args, "--rho", "1/10", "--in", str(tmp_path / "w.bin"),
+              "--out", str(tmp_path / "bad.bin"), "--mask-out", str(tmp_path / "mask.bin")])
+    assert exc.value.code == 2
+    assert "profile error: strategy erasure_mix needs a symbol word" in capsys.readouterr().err
+    assert not (tmp_path / "bad.bin").exists() and not (tmp_path / "mask.bin").exists()
+
+
 @pytest.mark.parametrize("rho", ["-1/5", "6/5", "-1"])
 def test_rho_outside_unit_interval_is_rejected(tmp_path, capsys, rho):
     prof = dict(load_profile("repeat-unit"), rho=rho)
@@ -218,6 +235,30 @@ def test_rho_outside_unit_interval_is_rejected(tmp_path, capsys, rho):
 def test_rho_inside_unit_interval_is_accepted(rho):
     assert validate_profile(dict(load_profile("repeat-unit"), rho=rho)) == []
     assert ErrorBudget(Fraction(rho), 10).rho == Fraction(rho)
+
+
+def _registered_keys():
+    """(profile, key, value) for every override and run key of the first
+    registered profile of each codec."""
+    firsts = {}
+    for name, prof in REGISTRY.items():
+        firsts.setdefault(prof["codec"], name)
+    return [(name, key, REGISTRY[name][key]) for name in firsts.values()
+            for key in REGISTRY[name]
+            if key.startswith("override.") or key in ("rho", "strategy", "trials", "seed")]
+
+
+@pytest.mark.parametrize("name,key,value", _registered_keys(),
+                         ids=lambda v: v if isinstance(v, str) else None)
+def test_validate_profile_checks_every_key(name, key, value):
+    missing = dict(load_profile(name))
+    del missing[key]
+    assert f"missing key: {key}" in validate_profile(missing)
+    garbled = validate_profile(dict(load_profile(name), **{key: "x"}))
+    if key in ("override.eps", "rho"):
+        assert f"{key}: not a fraction: 'x'" in garbled
+    elif value.isdigit():
+        assert f"{key}: not an integer: 'x'" in garbled
 
 
 def test_validate_profile_bad_codec():
@@ -389,6 +430,20 @@ def test_cli_corrupt_symbol_file_uses_its_field(tmp_path, capsys):
     assert rep["dist2"] <= 2 * rep["limit"]
 
 
+def test_cli_linear_decode_reports_a_short_codeword(tmp_path):
+    """A codeword file shorter than the profile's code is a truncated decode:
+    reported in the JSON, as run_experiment records it, with exit 0."""
+    write_stream_file(tmp_path / "w.bin", np.zeros(10, dtype=np.int32), 0)
+    (tmp_path / "ell.hex").write_text(word_to_hex(GF(1), np.array([1, 0, 1, 1])))
+    assert main(["linear-decode", "--profile", "tensor-small",
+                 "--functional", str(tmp_path / "ell.hex"),
+                 "--in", str(tmp_path / "w.bin"),
+                 "--report", str(tmp_path / "rep.json")]) == 0
+    rep = json.loads((tmp_path / "rep.json").read_text())
+    assert rep["error"].startswith("stream exhausted: ")
+    assert rep["invariant_fired"] is False
+
+
 def test_cli_show_profile(capsys):
     assert main(["show-profile", "--profile", "tensor-toy"]) == 0
     out = capsys.readouterr().out
@@ -469,3 +524,31 @@ def test_verify_tables_repeat_toy_skips_large():
     assert rep["all_pass"] is True
     inner = next(c for c in rep["checks"] if c["code"] == "inner")
     assert inner["measured"] >= inner["claimed"] == 24
+
+
+# ---------------------------------------------------------------------------
+# the command-line surface
+
+CLI_OPTIONS = {   # subcommand -> {option string: required}
+    "repeat-encode": {"--profile": True, "--in": True, "--out": True},
+    "repeat-decode": {"--profile": True, "--report": False, "--budget-bits": False,
+                      "--seed": False, "--in": True, "--out": False},
+    "linear-encode": {"--profile": True, "--in": True, "--out": True},
+    "linear-decode": {"--profile": True, "--report": False, "--functional": True,
+                      "--seed": False, "--in": True},
+    "corrupt": {"--profile": True, "--seed": False, "--rho": False, "--strategy": False,
+                "--in": True, "--out": True, "--mask-out": False},
+    "run": {"--profile": True, "--report": False, "--trials": False, "--seed": False},
+    "verify-tables": {"--profile": True, "--report": False},
+    "show-profile": {"--profile": True},
+}
+
+
+def test_cli_surface():
+    top = cli.build_parser()
+    (subs,) = [a for a in top._actions if a.dest == "command"]
+    assert sorted(subs.choices) == sorted(CLI_OPTIONS)
+    for command, parser in subs.choices.items():
+        got = {opt: action.required for action in parser._actions
+               for opt in action.option_strings if opt not in ("-h", "--help")}
+        assert got == CLI_OPTIONS[command], command

@@ -20,7 +20,7 @@ from streamcode.codec_tensor import (LinearFunctional, TensorParams,
                                      enc_linear, functional_dot,
                                      lift_functional,
                                      linear_dec_traced, recurse_linear,
-                                     tensor_encode, tensor_regime,
+                                     tensor_encode,
                                      _base_tables, _coin, _decode_base_blocks,
                                      _fill_level1, _fold, _node_values)
 
@@ -192,14 +192,6 @@ def test_default_instances():
     assert default_instances(16) == 16
     assert default_instances(4) == 9
     assert default_instances(1 << 20) == 49
-
-
-def test_tensor_regime():
-    got = tensor_regime(n=1 << 20, eps=Fraction(1, 10), s=1 << 10)
-    assert got["r"] == 4
-    assert got["depth"] == 10
-    assert got["eps_prime"] == Fraction(1, 1000)
-    assert got["instances"] == 49
 
 
 def test_enc_linear_zero_and_linearity():

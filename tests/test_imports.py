@@ -1,13 +1,14 @@
 """Every name imported into the library, the scripts and the tests is used
-there, and every module-level function and class of the library and the
-scripts is used somewhere.
+there, and every module-level function, class and assigned name of the
+library and the scripts is used somewhere.
 
 Both checks walk syntax trees.  The names an import statement binds must
 each appear somewhere else in the module as a name (a bare reference, the
 base of an attribute access, a decorator or an annotation).  A definition
-must be referenced outside its own body somewhere in src, scripts, tests or
-bench: as a name, as an attribute (``module.name``), or as a string (the
-bench patches library functions by attribute name).
+(dunder names such as ``__version__`` aside) must be referenced outside its
+own body somewhere in src, scripts, tests or bench: as a name, as an
+attribute (``module.name``), or as a string (the bench patches library
+functions by attribute name).
 """
 
 import ast
@@ -51,14 +52,23 @@ def references(tree) -> Counter:
     return out
 
 
+def defined_names(node) -> list:
+    """The names a module-level statement defines, dunder names aside."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else \
+        [node.target] if isinstance(node, ast.AnnAssign) else []
+    names = [leaf.id for target in targets for leaf in ast.walk(target)
+             if isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Store)]
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
 def dead_definitions(source: str, readers: list) -> list:
-    """(line, name) of each module-level function or class of `source` that
-    no tree in `readers` references outside its own definition."""
+    """(line, name) of each module-level function, class or assigned name of
+    `source` that no tree in `readers` references outside its own definition."""
     seen = sum((references(tree) for tree in readers), Counter())
-    defs = [node for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
-    return [(node.lineno, node.name) for node in defs
-            if seen[node.name] == references(node)[node.name]]
+    return [(node.lineno, name) for node in ast.parse(source).body
+            for name in defined_names(node) if seen[name] == references(node)[name]]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -86,6 +96,11 @@ def test_dead_definition_is_caught():
            "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
            "class Orphan:\n    pass\n\n"
            "def patched():\n    pass\n\n"
-           "x = used()\n")
-    readers = [ast.parse(src), ast.parse("WRAPPED = [(mod, 'patched')]\n")]
-    assert dead_definitions(src, readers) == [(4, "recursive"), (7, "Orphan")]
+           "x = used()\n"
+           "__version__ = '1'\n"
+           "TABLE: dict = {}\n"
+           "LEFT, RIGHT = x, x\n"
+           "os.environ['X'] = '1'\n")
+    readers = [ast.parse(src), ast.parse("WRAPPED = [(mod, 'patched')]\nLEFT.clear()\n")]
+    assert dead_definitions(src, readers) == [(4, "recursive"), (7, "Orphan"),
+                                              (15, "TABLE"), (16, "RIGHT")]

@@ -13,7 +13,7 @@ from streamcode.codes import (codebook, extended_hamming_code, list_decode_conca
                               replicate, simplex_code, unique_decode)
 from streamcode.ldc_binary import (
     AdviceMismatch, AdvicePlan, BinaryLdcParams, advice_coset, advice_symbols,
-    asymptotic_regime, decode_advice_from_words, decode_with_advice,
+    decode_advice_from_words, decode_with_advice,
     sample_advice, sample_advice_plan, sample_smooth_plan,
     smooth_local_decode, gather,
 )
@@ -451,14 +451,6 @@ def test_equidistant_inner_variant_builds():
     assert len(w) == 256 * 30
     c = smooth_local_decode(w, 5, p, rng)
     assert max(c.p0, c.p1) == Fraction(1)
-
-
-def test_asymptotic_regime_relations():
-    r = asymptotic_regime(n=10 ** 6, eps=Fraction(1, 10))
-    assert r["k_adv"] == 10
-    assert r["q"] ** 2 >= r["Q"]  # q ~ sqrt(Q) rounded up to a power of two
-    assert r["t_advice"] >= r["t_smooth"] >= 1
-    assert asymptotic_regime(10 ** 9, Fraction(1, 10))["Q"] >= r["Q"]
 
 
 def test_validation_errors():
