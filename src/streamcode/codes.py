@@ -32,11 +32,16 @@ Decoding entry points:
   outer syndrome settles a word at once, and only the other words run the
   Berlekamp-Welch erasure sweep (_gmd_decode, _bw_decode).  Anything else
   small enough falls back to the brute-force scan.
+- certified_decode: unique_decode of a stack, GMD_CHUNK words at a time, at
+  a radius the caller derives from dist2_bound so that a decoded word's
+  codeword is provably what an exhaustive scan would answer; it also names
+  the words left over, which are the only ones the caller scans.
 - list_decode_concat: all codewords within a radius, by one codebook scan
   (block table plus per-group takes for concatenated codes; the codebook is
   capped at 2^20 messages by design).  The scan covers every message, or only
   the message indices the caller passes, as the advice decoder does with the
-  coset its advice pins; both go through the same takes and threshold.
+  coset its advice pins; both go through the same takes and the integer
+  threshold list_radius2.
 
 Linear algebra over the field (make_systematic, gf_solve, validate, both
 Berlekamp-Welch solves, and ldc_binary's advice coset) is one Gauss-Jordan
@@ -45,6 +50,7 @@ elimination, _rref; its power tables come from gf.powers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -57,6 +63,7 @@ from .gf import (
 )
 
 BRUTE_FORCE_LIMIT = 1 << 20  # largest message space we will ever enumerate
+GMD_CHUNK = 64  # words per stacked GMD decode in certified_decode; bounds its block tables
 
 
 @dataclass
@@ -496,6 +503,21 @@ def unique_decode(code: LinearCode, w, radius2: int | None = None):
     return got if np.ndim(w) == 2 else got[0]
 
 
+def certified_decode(code: LinearCode, words, cert2: int) -> tuple:
+    """(got, left) for a stack of words (W, n): got[r] is unique_decode's
+    (message, dist2) of row r at radius cert2, or None, and `left` lists the
+    rows that got None.  The stack goes through GMD_CHUNK rows at a time.
+
+    A caller that picks cert2 from code.dist2_bound by half-distance
+    uniqueness (for a codeword c at dist2 d from w, every other codeword is
+    at dist2 at least dist2_bound - d) knows what an exhaustive scan would
+    answer for every decoded row, so it scans only the rows in `left`."""
+    got = []
+    for s in range(0, len(words), GMD_CHUNK):
+        got += unique_decode(code, words[s:s + GMD_CHUNK], cert2)
+    return got, [r for r, g in enumerate(got) if g is None]
+
+
 class GmdTables:
     """What GMD needs of one Reed-Solomon-outer concatenation, built once.
 
@@ -614,6 +636,14 @@ def _bw_decode(F: FieldSpec, P, ys, k_rs: int):
 # ---------------------------------------------------------------------------
 # list decoding
 
+def list_radius2(code: LinearCode, eps, radius: Fraction | None = None) -> int:
+    """The largest dist2 within relative radius `radius` (default (1-eps)/2):
+    an integer dist2 is inside iff it is at most this floor."""
+    if radius is None:
+        radius = (1 - Fraction(eps)) / 2
+    return math.floor(radius * 2 * code.code_len)
+
+
 def list_decode_concat(code: LinearCode, w, eps, radius: Fraction | None = None,
                        idx=None):
     """All (message, dist2) within relative radius (1-eps)/2 of w (erasures a
@@ -621,15 +651,11 @@ def list_decode_concat(code: LinearCode, w, eps, radius: Fraction | None = None,
     every message or over the message indices `idx` only.  A restricted scan
     returns the full result filtered to idx; an index given twice is listed
     twice."""
-    if radius is None:
-        radius = (1 - Fraction(eps)) / 2
     cb = codebook(code)
     d2 = cb.dist2_scan(w, idx)
     index = np.arange(len(d2)) if idx is None else np.asarray(idx, dtype=np.int64)
-    thresh = radius * 2 * code.code_len  # dist2 <= 2*M*radius
-    hits = np.nonzero(d2 <= float(thresh) + 1e-12)[0]
-    hits = [(int(d2[h]), int(index[h])) for h in hits if Fraction(int(d2[h])) <= thresh]
-    hits.sort()
+    hits = np.flatnonzero(d2 <= list_radius2(code, eps, radius))
+    hits = sorted(zip(d2[hits].tolist(), index[hits].tolist()))
     return [(cb.msg_of_index(i), d) for d, i in hits]
 
 

@@ -8,10 +8,15 @@ binary inner code re-encodes it.  Two local decoders read the core's curves:
   curve words with one unique_decode call and folds each target in integers.
 - decode_with_advice: t_advice iterations of higher-degree curves pinned at
   uncorrupted advice blocks, and a majority vote; raises AdviceMismatch when
-  no iteration ever produces a unique candidate.  Each iteration list-decodes
-  its curve word over the advice coset only: the curve polynomials h that
-  take the advice symbols at the iteration's nodes, an affine subspace of
-  codimension k_adv that advice_coset enumerates as codebook indices.
+  no iteration ever produces a unique candidate.  Each iteration's curve
+  word is certified first: GMD finding a codeword c closer than the advice
+  code's distance bound minus the list radius proves no other codeword is in
+  the list, so the list is [c] when c is within the radius and takes the
+  advice symbols at the iteration's nodes, and empty otherwise.  Only a word
+  GMD leaves over is list decoded, and over the advice coset only: the curve
+  polynomials h that take the advice symbols at the iteration's nodes, an
+  affine subspace of codimension k_adv that advice_coset enumerates as
+  codebook indices.
   An AdvicePlan is a SmoothPlan plus those nodes, so one call plans, and one
   call decodes, a stack of targets (reading the advice once).
 
@@ -28,9 +33,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .gf import GF, FieldSpec, mul_lut, poly_interpolate, powers
-from .codes import (LinearCode, _rref, block_dist2, codebook, concat,
-                    list_decode_concat, rs_code, unique_decode)
+from .gf import GF, FieldSpec, mul_arrays, mul_lut, poly_interpolate, powers
+from .codes import (LinearCode, _rref, block_dist2, certified_decode, codebook, concat,
+                    list_decode_concat, list_radius2, rs_code, unique_decode)
 from .ldc_core import (RmLdc, SmoothPlan, block_positions, curve_blocks, gather,
                        plan_targets, sample_smooth_plan)
 
@@ -223,21 +228,39 @@ def decode_advice_from_words(params: BinaryLdcParams, plan: AdvicePlan,
     votes that candidate's bit at the target.  Words come in the plan's block
     order; one bit, or a list for a stacked plan.  Raises AdviceMismatch at
     the first target with no vote, so at once on an advice block that is not
-    an inner codeword: it pins no coset."""
+    an inner codeword: it pins no coset.
+
+    GMD settles most words without building their coset: a codeword c at
+    dist2 below dist2_bound - thresh2 (thresh2 the list radius) leaves every
+    other codeword past thresh2, so the coset's list is [c] when c is within
+    thresh2 and h(nodes) equals the advice symbols, and empty otherwise.
+    Only the words GMD leaves over are list decoded over their coset."""
     syms = advice_symbols(params, adv_values)
     if None in syms:
         raise AdviceMismatch("an advice block is not an inner codeword")
-    t = params.t_advice
-    nodes = np.reshape(plan.nodes, (-1, t, params.k_adv))
-    words, bits = np.reshape(words, (len(nodes), t, -1)), []
-    for nd, ws, offset in zip(nodes, words, np.reshape(plan.offset, -1).tolist()):
-        votes = []
-        for it_nodes, word in zip(nd, ws):
-            cands = list_decode_concat(params.advice_code, word, params.eps,
-                                       idx=advice_coset(params, it_nodes, syms))
-            if len(cands) == 1:
-                h0 = int(params.pack(cands[0][0])[0])
-                votes.append(int(params.inner_words[h0, offset]))
+    code, F, t, ka = params.advice_code, params.F, params.t_advice, params.k_adv
+    k = code.outer.msg_len
+    nodes = np.reshape(plan.nodes, (-1, ka))
+    words = np.reshape(words, (len(nodes), -1))
+    thresh2 = list_radius2(code, params.eps)
+    got, left = certified_decode(code, words, code.dist2_bound - thresh2 - 1)
+    h0 = [None] * len(words)   # h(0) of each word's one candidate in its coset
+    done = [r for r, g in enumerate(got) if g is not None]
+    h = params.pack([got[r][0] for r in done]).reshape(len(done), k)
+    at = np.bitwise_xor.reduce(mul_arrays(
+        F, powers(F, nodes[done].ravel(), k).reshape(len(done), ka, k), h[:, None]), axis=-1)
+    for r, c, pinned in zip(done, h[:, 0].tolist(), (at == syms).all(axis=1).tolist()):
+        if pinned and got[r][1] <= thresh2:
+            h0[r] = c
+    for r in left:
+        cands = list_decode_concat(code, words[r], params.eps,
+                                   idx=advice_coset(params, nodes[r], syms))
+        if len(cands) == 1:
+            h0[r] = int(params.pack(cands[0][0])[0])
+    bits = []
+    for j, offset in enumerate(np.reshape(plan.offset, -1).tolist()):
+        votes = [int(params.inner_words[c, offset]) for c in h0[j * t:(j + 1) * t]
+                 if c is not None]
         if not votes:
             raise AdviceMismatch(f"no unique candidate in any of {t} iterations")
         bits.append(1 if sum(votes) * 2 > len(votes) else 0)

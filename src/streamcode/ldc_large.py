@@ -7,10 +7,12 @@ distances.
 
 smooth_local_decode_large returns a ConfidenceDist: exact Fractional masses
 on field symbols plus an erasure mass, summing to one.  Per curve, the unique
-decoding within radius 1/2 - eps/2 (erasure-aware) is realized by zeroing
-erasures, list decoding within radius 1 - eps/2, and keeping the candidate of
-least true distance among those within the unique radius; a decoded curve
-contributes mass 1 - 2*delta on its symbol and 2*delta on ⊥.  The scan is
+decoding within radius 1/2 - eps/2 (erasure-aware) is the candidate of least
+true distance within that radius, as an exhaustive scan of the curve code
+finds it; a decoded curve contributes mass 1 - 2*delta on its symbol and
+2*delta on ⊥.  Each word is certified first: codes.certified_decode runs GMD
+below half the curve code's distance bound, where the codeword it finds is
+the scan's strict argmin.  Only the words it leaves over are scanned, with
 the curve code's codes.Codebook scan over a stack of words, SCAN_CHUNK words
 at a time: one table of block distances to the |F| inner codewords, then per
 group of blocks one take over every curve message, shared by the stack.  A
@@ -34,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .gf import GF, FieldSpec
-from .codes import LinearCode, codebook
+from .codes import LinearCode, certified_decode, codebook
 from .ldc_core import RmLdc, SmoothPlan, gather, sample_smooth_plan
 
 
@@ -111,28 +113,36 @@ SCAN_CHUNK = 16  # words per stacked scan; bounds its (words, messages) table
 
 def decode_curves_large(params: LargeLdcParams, words) -> list:
     """Per word, (h(0), dist2) of the closest curve codeword within
-    erasure-aware relative radius 1/2 - eps/2, or None.
+    erasure-aware relative radius 1/2 - eps/2, or None; of two equally close
+    codewords, the one of smaller message index.
 
     Conceptually: zero the erasures, list decode within radius 1 - eps/2
     (zeroing can inflate each erasure's charge from 1/2 to at most 1, so that
     list contains every candidate within the true radius), then re-check with
-    the erasure-aware distance.  Since the scan is exhaustive anyway, one
-    erasure-aware scan computes the same closest-in-radius answer."""
-    cb = codebook(params.curve_code)
-    L = params.curve_code.code_len
+    the erasure-aware distance; one erasure-aware exhaustive scan computes the
+    same closest-in-radius answer.  Most words need no scan: GMD certifies a
+    codeword c at dist2 below dist2_bound / 2, and every other codeword is
+    then at dist2 above dist2_bound / 2, so c is the scan's strict argmin.
+    Only the words GMD leaves over are scanned."""
+    cc = params.curve_code
+    L = cc.code_len
     radius2 = math.floor((Fraction(1, 2) - params.eps / 2) * 2 * L)
-    # the top e K-digits of a message index are the packing of h(0)
-    top = params.F.q ** (params.curve_code.outer.msg_len - 1)
     words = np.asarray(words, dtype=np.int32).reshape(-1, L)
-    out = []
-    for s in range(0, len(words), SCAN_CHUNK):
-        d2 = cb.dist2_scan(words[s:s + SCAN_CHUNK])
+    got, left = certified_decode(cc, words, (cc.dist2_bound - 1) // 2)
+    done = [r for r, g in enumerate(got) if g is not None]
+    for r, h0 in zip(done, params.pack([got[r][0][:params.e] for r in done]).tolist()):
+        got[r] = (h0, got[r][1])
+    # the top e K-digits of a message index are the packing of h(0)
+    top = params.F.q ** (cc.outer.msg_len - 1)
+    for s in range(0, len(left), SCAN_CHUNK):
+        rows = left[s:s + SCAN_CHUNK]
+        d2 = codebook(cc).dist2_scan(words[rows])  # built at the first leftover word
         best = d2.argmin(axis=1)  # ties break to the smallest message index
         least = d2[np.arange(len(best)), best]
         del d2  # free this chunk's table before the next one is built
-        for i, e in zip(best.tolist(), least.tolist()):
-            out.append(None if e > radius2 else (int(params.packing.sym[i // top]), e))
-    return out
+        for r, i, e in zip(rows, best.tolist(), least.tolist()):
+            got[r] = (int(params.packing.sym[i // top]), e)
+    return [None if g[1] > radius2 else g for g in got]
 
 
 def confidence_from_decoded(params: LargeLdcParams, plan: SmoothPlan,

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamcode.gf import ERASE, GF, pack_symbols, poly_eval, poly_interpolate
-from streamcode.codes import (codebook, extended_hamming_code, list_decode_concat,
-                              replicate, simplex_code, unique_decode)
+from streamcode.codes import (certified_decode, codebook, extended_hamming_code,
+                              list_decode_concat, list_radius2, replicate, simplex_code,
+                              unique_decode)
 from streamcode.ldc_binary import (
     AdviceMismatch, AdvicePlan, BinaryLdcParams, advice_coset, advice_symbols,
     decode_advice_from_words, decode_with_advice,
@@ -266,7 +267,7 @@ def _coset_lists(p, plan, words, adv_values):
         return [[] for _ in plan.nodes]
     return [[(tuple(msg), d2) for msg, d2 in list_decode_concat(
                 p.advice_code, word, p.eps, idx=advice_coset(p, nodes, syms))]
-            for nodes, word in zip(plan.nodes.tolist(), words)]
+            for nodes, word in zip(np.reshape(plan.nodes, (-1, p.k_adv)).tolist(), words)]
 
 
 def _vote(p, plan, words, adv_values):
@@ -327,6 +328,68 @@ def test_advice_coset_decode_matches_full_scan_filter(name):
         assert _vote(p, plan, words, vals) == want_vote, case
         sizes += [len(kept) for kept in want_lists]
     assert {0, 1} <= set(sizes)   # both a vote and an iteration that abstains
+
+
+def _coset_scan_vote(p, plan, words, adv_values):
+    """The advice decode with every word list decoded over its coset: a bit
+    per target of a stacked plan, or AdviceMismatch."""
+    lists, t, bits = _coset_lists(p, plan, words, adv_values), p.t_advice, []
+    for j, offset in enumerate(plan.offset.tolist()):
+        votes = [int(p.inner_words[p.pack(kept[0][0])[0], offset])
+                 for kept in lists[j * t:(j + 1) * t] if len(kept) == 1]
+        if not votes:
+            return AdviceMismatch
+        bits.append(1 if 2 * sum(votes) > len(votes) else 0)
+    return bits
+
+
+CERTIFIED_PARAMS = dict(ADVICE_PARAMS, **{
+    # list radius 48 under the certificate's 63: a certified codeword past
+    # the radius leaves the coset's list empty
+    "toy-wide": lambda: toy_params(eps=Fraction(3, 5)),
+})
+
+
+@pytest.mark.parametrize("name", list(CERTIFIED_PARAMS))
+def test_advice_certificate_matches_coset_scans(name):
+    """Stacked advice decodes equal the coset scan of every word.  Each word
+    is its target's curve word with a few flips (GMD certifies it), with
+    flips and erasures past the certificate (the coset scan takes it), or
+    the curve word of another message: its certified codeword mostly lies
+    outside the coset the advice pins, so it casts no vote, and a target
+    left with no vote raises AdviceMismatch as the scan does."""
+    p = CERTIFIED_PARAMS[name]()
+    code, n = p.advice_code, p.advice_code.code_len
+    thresh2 = list_radius2(code, p.eps)
+    cert2 = code.dist2_bound - thresh2 - 1
+    rng, nrng = random.Random(17), np.random.default_rng(17)
+    outcomes, routes = [], {"left": 0, "outside": 0, "past": 0}
+    for case in range(24):
+        x = random_message(p, rng)
+        w, other = encode(p, x), encode(p, random_message(p, rng))
+        adv = sample_advice(p, rng)
+        vals = gather(w, list(adv.positions))
+        plan = sample_advice_plan(p, [rng.randrange(p.n) for _ in range(3)], adv, rng)
+        words = gather(w, plan.positions).reshape(-1, n)
+        for r, positions in enumerate(plan.positions.reshape(-1, n)):
+            kind = rng.choice(["near", "past", "past", "other"] if case % 3 else ["near"])
+            if kind == "other":
+                words[r] = other[positions]
+            hit = nrng.permutation(n)[:nrng.integers(0, cert2 // 2 + 1) if kind != "past" else
+                                      nrng.integers(cert2 // 2 + 1, max(cert2, thresh2) // 2 + 2)]
+            words[r, hit] = np.where(nrng.random(len(hit)) < 0.8, words[r, hit] ^ 1, ERASE)
+        outcomes.append(_coset_scan_vote(p, plan, words, vals))
+        assert _vote(p, plan, words, vals) == outcomes[-1], case
+        got, left = certified_decode(code, words, cert2)
+        syms = advice_symbols(p, vals)
+        for g, nodes in zip(got, plan.nodes.reshape(-1, p.k_adv).tolist()):
+            if g is not None:
+                routes["outside"] += not _passes_advice(p, g[0], nodes, syms)
+                routes["past"] += g[1] > thresh2
+        routes["left"] += len(left)
+    assert AdviceMismatch in outcomes and any(o is not AdviceMismatch for o in outcomes)
+    assert routes["left"] and routes["outside"]
+    assert routes["past"] or cert2 <= thresh2
 
 
 def _block(p, coords):

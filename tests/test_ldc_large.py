@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from streamcode.gf import ERASE, GF, field_mul, mul_lut
-from streamcode.codes import codebook, repetition_code, doubly_extended_rs
+from streamcode.codes import codebook, doubly_extended_rs, repetition_code, unique_decode
 from streamcode.ldc_large import (
     SCAN_CHUNK, ConfidenceDist, LargeLdcParams, ResampleExhausted,
     UniformQuerySpec, decode_curves_large, gen_qlists, overlap_cap,
@@ -164,6 +164,60 @@ def test_batched_curve_decode_matches_one_word_decodes():
     assert decode_curves_large(p, words) == want
     assert decode_curves_large(p, np.array(words)) == want
     assert decode_curves_large(p, []) == []
+
+
+@pytest.mark.parametrize("name", ["tensor-small", "tensor-toy"])
+def test_curve_certificate_matches_exhaustive_scan(name):
+    """decode_curves_large gives the exhaustive scan's answer row by row on
+    words around half the distance bound D.  A word between two codewords at
+    minimum distance D / 2 (flips toward the second one and erasures on the
+    positions where they differ, plus flips and erasures elsewhere) lies just
+    below, at or just above D / 2 from the nearer one, so GMD certifies some
+    words and the scan takes the rest.  The words include a tie on which GMD
+    names a codeword the scan does not: a certificate that reached D / 2, or
+    the curve radius, would answer those words wrongly."""
+    from streamcode.profiles import build_params, load_profile
+    p = build_params(load_profile(name)).ldc
+    cc, cb = p.curve_code, codebook(p.curve_code)
+    D, L, q = cc.dist2_bound, cc.code_len, cc.field.q
+    radius2 = int((Fraction(1, 2) - p.eps / 2) * 2 * L)
+    lightest = np.flatnonzero(cb.dist2_scan(np.zeros(L, dtype=np.int32)) == D)
+    assert len(lightest)   # the bound is met, so D / 2 is a true half distance
+    rng = np.random.default_rng(49)
+    words = []
+    for _ in range(400):
+        base = cc.encode(rng.integers(0, q, cc.msg_len))
+        step = cc.encode(cb.msg_of_index(int(rng.choice(lightest))))
+        inside, outside = np.flatnonzero(step), np.flatnonzero(step == 0)
+        w = base.copy()
+        # a = 2 f + e from base and D - a from base + step (f flips toward
+        # it, e erasures, f + e <= D / 2), then on half the words more from both
+        a = D // 2 + int(rng.integers(-2, 3))
+        e = 2 * int(rng.integers(0, min(a, D - a) // 2 + 1)) + a % 2
+        f = (a - e) // 2
+        moved = rng.permutation(inside)
+        w[moved[:f]] ^= step[moved[:f]]
+        w[moved[f:f + e]] = ERASE
+        extra = int(rng.integers(1, radius2 - D // 2 + 3)) if rng.random() < 0.5 else 0
+        noise = rng.permutation(outside)[:extra]
+        flip = rng.random(len(noise)) < 0.5
+        w[noise[flip]] ^= rng.integers(1, q, int(flip.sum()))
+        w[noise[~flip]] = ERASE
+        words.append(w)
+    want = [decode_curve_one(p, w) for w in words]
+    assert decode_curves_large(p, words) == want
+
+    def certified_up_to(cert2):
+        """The answers of a decoder that trusted GMD up to cert2."""
+        gmd = unique_decode(cc, np.array(words), cert2)
+        return [w if g is None else None if g[1] > radius2 else
+                (int(p.pack(g[0][:p.e])[0]), g[1]) for g, w in zip(gmd, want)]
+
+    nearest = [int(cb.dist2_scan(w).min()) for w in words]
+    assert {D // 2 - 1, D // 2, D // 2 + 1} <= set(nearest)
+    assert certified_up_to((D - 1) // 2) == want
+    assert certified_up_to(D // 2) != want
+    assert certified_up_to(radius2) != want
 
 
 def test_merging_rule_by_hand():
