@@ -9,16 +9,15 @@ absolute distance) so that erasures can count exactly one half each.
 Every word-to-code distance goes through block_dist2, the dist2 of each
 block of a word to each row of a table of inner codewords.  A plain code's
 Codebook scans its whole codeword table as one block.  A concatenated code's
-Codebook measures each block against the |F| inner codewords once, sums
-those distances over a few consecutive blocks into one table per group
-(indexed by the group's combined F-symbols), and adds, group by group, one
-take of that table over the group's column of outer-codeword symbols, so it
-never builds the codeword table.  A scan takes one word or a stack of words;
-a stack shares every take (the tensor decoder scans its level-1 curve words
-that way).  GMD's inner decode and the tensor codec's base table use the
-same block_dist2 against the inner code's codewords.  The packing of groups
-of K-symbols into F-symbols is gf's (gf.packing): concat, Codebook and GMD
-read its arrays and build no table of their own.
+Codebook measures each block of the word against the |F| inner codewords
+once, sums those distances over a few consecutive blocks into one table per
+group (indexed by the group's combined F-symbols), and adds, group by group,
+one take of that table over the group's column of outer-codeword symbols, so
+it never builds the codeword table.  GMD's inner decode and the tensor
+codec's base table use the same block_dist2 against the inner code's
+codewords.  The packing of groups of K-symbols into F-symbols is gf's
+(gf.packing): concat, Codebook and GMD read its arrays and build no table of
+their own.
 
 Decoding entry points:
 
@@ -35,17 +34,16 @@ Decoding entry points:
 - certified_decode: unique_decode of a stack, GMD_CHUNK words at a time, at
   a radius the caller derives from dist2_bound so that a decoded word's
   codeword is provably what an exhaustive scan would answer; it also names
-  the words left over, which are the only ones the caller scans.
-- list_decode_concat: all codewords within a radius, by one codebook scan
-  (block table plus per-group takes for concatenated codes; the codebook is
-  capped at 2^20 messages by design).  The scan covers every message, or only
-  the message indices the caller passes, as the advice decoder does with the
-  coset its advice pins; both go through the same takes and the integer
+  the words left over, which are the only ones the caller scans, one word
+  at a time.
+- list_decode_concat: all codewords within a radius, by one scan of the
+  whole codebook (block table plus per-group takes for concatenated codes;
+  the codebook is capped at 2^20 messages by design) and the integer
   threshold list_radius2.
 
-Linear algebra over the field (make_systematic, gf_solve, validate, both
-Berlekamp-Welch solves, and ldc_binary's advice coset) is one Gauss-Jordan
-elimination, _rref; its power tables come from gf.powers.
+Linear algebra over the field (make_systematic, gf_solve, validate and both
+Berlekamp-Welch solves) is one Gauss-Jordan elimination, _rref; its power
+tables come from gf.powers.
 """
 
 from __future__ import annotations
@@ -393,11 +391,11 @@ class Codebook:
         if isinstance(code, ConcatCode):
             outer, F = code.outer, code.outer.field
             self.inner_words = code.inner_words   # (|F|, block_len)
-            self.packing = packing(code.field, F)
+            sym = packing(code.field, F).sym
             # lex index over K-digits -> lex index over the packed F-symbols
             outer_idx, T = np.zeros_like(idx), outer.msg_len
             for t in range(T):
-                outer_idx = outer_idx * F.q + self.packing.sym[idx // F.q ** (T - 1 - t) % F.q]
+                outer_idx = outer_idx * F.q + sym[idx // F.q ** (T - 1 - t) % F.q]
             self.group = g = max(1, 8 // F.k)
             rows = codebook(outer).words[outer_idx]
             # intp is take()'s index type; a padding block adds symbol 0
@@ -416,40 +414,27 @@ class Codebook:
         K, m = self.code.field, self.code.msg_len
         return np.array([(i // K.q ** (m - 1 - j)) % K.q for j in range(m)], dtype=np.int32)
 
-    def index_of_packed(self, rows) -> np.ndarray:
-        """Message indices of a concatenated code's messages given as rows of
-        packed outer symbols (one F-symbol per group of K-digits)."""
-        F, T = self.code.outer.field, self.code.outer.msg_len
-        return self.packing.lex[np.asarray(rows)] @ F.q ** np.arange(T - 1, -1, -1, dtype=np.int64)
-
-    def dist2_scan(self, w, idx=None) -> np.ndarray:
-        """dist2 from w to every codeword, or to the codewords of the message
-        indices `idx` in their order (erasures allowed, charged 1 each).  A
-        stack of words (a 2-D w) gives one row of distances per word."""
+    def dist2_scan(self, w) -> np.ndarray:
+        """dist2 from the word w to every codeword (erasures allowed, charged
+        1 each)."""
         w = np.asarray(w, dtype=np.int32)
-        stack = w.reshape(-1, w.shape[-1])
-        if idx is not None:
-            idx = np.asarray(idx, dtype=np.intp)
         if self.words is not None:
-            d2 = block_dist2(stack, self.words if idx is None else self.words[idx])
-        else:
-            n, (q, blen), g = len(stack), self.inner_words.shape, self.group
-            cols = self.cols if idx is None else np.take(self.cols, idx, axis=1)
-            # every dist2 is at most 2 * code_len, which this dtype holds
-            d2 = np.zeros((n, cols.shape[1]), dtype=_dist2_dtype(self.code.code_len))
-            # block distances to the inner codewords; padding blocks stay at 0
-            blocks = np.zeros((n, len(cols) * g, q), dtype=d2.dtype)
-            blocks[:, :stack.shape[1] // blen] = block_dist2(
-                stack.reshape(-1, blen), self.inner_words).reshape(n, -1, q)
-            blocks = blocks.reshape(n, len(cols), g, q)
-            # per group, distances by combined symbol (first block most significant)
-            table = blocks[:, :, 0]
-            for k in range(1, g):
-                table = (table[..., None] + blocks[:, :, k, None, :]).reshape(n, len(cols), -1)
-            part = np.empty_like(d2)
-            for b, col in enumerate(cols):  # valid symbols: clip skips take()'s buffer
-                d2 += np.take(table[:, b], col, axis=1, out=part, mode="clip")
-        return d2 if w.ndim == 2 else d2[0]
+            return block_dist2(w[None], self.words)[0]
+        (q, blen), g, n_groups = self.inner_words.shape, self.group, len(self.cols)
+        # every dist2 is at most 2 * code_len, which this dtype holds
+        d2 = np.zeros(self.cols.shape[1], dtype=_dist2_dtype(self.code.code_len))
+        # block distances to the inner codewords; padding blocks stay at 0
+        blocks = np.zeros((n_groups * g, q), dtype=d2.dtype)
+        blocks[:len(w) // blen] = block_dist2(w.reshape(-1, blen), self.inner_words)
+        blocks = blocks.reshape(n_groups, g, q)
+        # per group, distances by combined symbol (first block most significant)
+        table = blocks[:, 0]
+        for k in range(1, g):
+            table = (table[..., None] + blocks[:, k, None, :]).reshape(n_groups, -1)
+        part = np.empty_like(d2)
+        for b, col in enumerate(self.cols):  # valid symbols: clip skips take()'s buffer
+            d2 += np.take(table[b], col, out=part, mode="clip")
+        return d2
 
 
 def codebook(code: LinearCode) -> Codebook:
@@ -588,16 +573,20 @@ def _gmd_decode(cc: ConcatCode, words, radius2: int) -> list:
 
 
 def _gmd_sweep(cc: ConcatCode, d2, syms, best_d2, radius2: int):
-    """The GMD erasure sweep over _gmd_inner's output: for erasure counts
-    0..d_out-1, erase the least confident blocks, run Berlekamp-Welch on the
-    rest, and read each new candidate's dist2 off the block table.  The first
-    candidate inside radius2 wins, as (message, dist2)."""
+    """The GMD erasure sweep over _gmd_inner's output: for each erasure count
+    s <= n - k with n - s - k even, erase the s least confident blocks, run
+    Berlekamp-Welch on the rest, and read each new candidate's dist2 off the
+    block table.  The first candidate inside radius2 wins, as (message,
+    dist2).  A step of the other parity would find nothing new: its radius is
+    (n - s - k - 1) / 2, so the step before it (one point more, radius one
+    more) or, at s = 0, the step after it (one point fewer, same radius)
+    finds the same polynomial, with no other step between the two."""
     F, g = cc.outer.field, cc.gmd
     n_blocks, k_rs = cc.num_blocks, cc.outer.msg_len
     blocks = np.arange(n_blocks)
     order = np.argsort(-best_d2, kind="stable")  # least confident first
     seen = set()
-    for n_erase in range(0, n_blocks - k_rs + 1):
+    for n_erase in range((n_blocks - k_rs) % 2, n_blocks - k_rs + 1, 2):
         kept = np.sort(order[n_erase:])
         h = _bw_decode(F, g.powers[kept], syms[kept], k_rs)
         if h is None or tuple(h) in seen:
@@ -644,18 +633,13 @@ def list_radius2(code: LinearCode, eps, radius: Fraction | None = None) -> int:
     return math.floor(radius * 2 * code.code_len)
 
 
-def list_decode_concat(code: LinearCode, w, eps, radius: Fraction | None = None,
-                       idx=None):
+def list_decode_concat(code: LinearCode, w, eps, radius: Fraction | None = None):
     """All (message, dist2) within relative radius (1-eps)/2 of w (erasures a
-    half each), sorted by dist2 then msg index, by one codebook scan over
-    every message or over the message indices `idx` only.  A restricted scan
-    returns the full result filtered to idx; an index given twice is listed
-    twice."""
+    half each), sorted by dist2 then msg index, by one scan of the codebook."""
     cb = codebook(code)
-    d2 = cb.dist2_scan(w, idx)
-    index = np.arange(len(d2)) if idx is None else np.asarray(idx, dtype=np.int64)
+    d2 = cb.dist2_scan(w)
     hits = np.flatnonzero(d2 <= list_radius2(code, eps, radius))
-    hits = sorted(zip(d2[hits].tolist(), index[hits].tolist()))
+    hits = sorted(zip(d2[hits].tolist(), hits.tolist()))
     return [(cb.msg_of_index(i), d) for d, i in hits]
 
 

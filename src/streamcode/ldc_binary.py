@@ -8,15 +8,11 @@ binary inner code re-encodes it.  Two local decoders read the core's curves:
   curve words with one unique_decode call and folds each target in integers.
 - decode_with_advice: t_advice iterations of higher-degree curves pinned at
   uncorrupted advice blocks, and a majority vote; raises AdviceMismatch when
-  no iteration ever produces a unique candidate.  Each iteration's curve
-  word is certified first: GMD finding a codeword c closer than the advice
-  code's distance bound minus the list radius proves no other codeword is in
-  the list, so the list is [c] when c is within the radius and takes the
-  advice symbols at the iteration's nodes, and empty otherwise.  Only a word
-  GMD leaves over is list decoded, and over the advice coset only: the curve
-  polynomials h that take the advice symbols at the iteration's nodes, an
-  affine subspace of codimension k_adv that advice_coset enumerates as
-  codebook indices.
+  no iteration ever produces a unique candidate.  An iteration's candidates
+  are the codewords within the list radius of its curve word whose
+  polynomial h takes the advice symbols at the iteration's nodes.  GMD
+  certifies most words' lists; only a word it leaves over is list decoded,
+  over the whole advice codebook.
   An AdvicePlan is a SmoothPlan plus those nodes, so one call plans, and one
   call decodes, a stack of targets (reading the advice once).
 
@@ -29,15 +25,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
-from .gf import GF, FieldSpec, mul_arrays, mul_lut, poly_interpolate, powers
-from .codes import (LinearCode, _rref, block_dist2, certified_decode, codebook, concat,
-                    list_decode_concat, list_radius2, rs_code, unique_decode)
+from . import codes
+from .gf import GF, FieldSpec, mul_arrays, poly_interpolate, powers
+from .codes import (LinearCode, block_dist2, certified_decode, concat, list_decode_concat,
+                    list_radius2, rs_code, unique_decode)
 from .ldc_core import (RmLdc, SmoothPlan, block_positions, curve_blocks, gather,
                        plan_targets, sample_smooth_plan)
+
+# Not called here: list_decode_concat builds the advice codebook.  The name
+# stays bound because bench/tracing.py patches it on this module.
+codebook = codes.codebook
 
 
 class AdviceMismatch(Exception):
@@ -104,15 +104,6 @@ class BinaryLdcParams(RmLdc):
     @property
     def advice_size(self) -> int:
         return self.k_adv * self.inner.code_len
-
-    @cached_property
-    def advice_grid(self) -> np.ndarray:
-        """Every assignment of the free coefficients h_{k_adv}..h_{k-1} of an
-        advice-code polynomial, one row each in lex order (for advice_coset)."""
-        q, ka = self.F.q, self.k_adv
-        k = self.advice_code.outer.msg_len
-        rows = np.arange(q ** (k - ka), dtype=np.int64)
-        return np.stack([(rows // q ** (k - 1 - j)) % q for j in range(ka, k)], axis=1)
 
     def describe(self) -> dict:
         return {"q": self.F.q, "m": self.m, "d": self.d, "n": self.n,
@@ -201,40 +192,22 @@ def advice_symbols(params: BinaryLdcParams, adv_values) -> list:
     return [int(row.argmin()) if row.min() == 0 else None for row in d2]
 
 
-def advice_coset(params: BinaryLdcParams, nodes, syms) -> np.ndarray:
-    """Advice-code codebook indices of the polynomials h of degree < k with
-    h(nodes[l]) == syms[l] for every l, in lex order of the free
-    coefficients.  The constraints [V | s] are F-linear in h, and the columns
-    of V for h_0..h_{k_adv-1} form an invertible Vandermonde matrix (the
-    nodes are distinct), so one elimination leaves [I | A | c]: the pinned
-    coefficients are c + A h_free for every free assignment."""
-    F, ka = params.F, params.k_adv
-    k = params.advice_code.outer.msg_len
-    R = _rref(F, np.column_stack([powers(F, nodes, k), syms]))[0]
-    free = params.advice_grid
-    h = np.empty((len(free), k), dtype=np.int64)
-    h[:, ka:] = free
-    for l in range(ka):
-        h[:, l] = R[l, k]
-        for j in range(ka, k):
-            h[:, l] ^= mul_lut(F, int(R[l, j]))[free[:, j - ka]]
-    return codebook(params.advice_code).index_of_packed(h)
-
-
 def decode_advice_from_words(params: BinaryLdcParams, plan: AdvicePlan,
                              words, adv_values):
     """Per target, a majority vote over the iterations that end with exactly
-    one candidate in the advice coset within the list-decoding radius; each
+    one candidate: a codeword within the list-decoding radius whose
+    polynomial h takes the advice symbols at the iteration's nodes; each
     votes that candidate's bit at the target.  Words come in the plan's block
     order; one bit, or a list for a stacked plan.  Raises AdviceMismatch at
     the first target with no vote, so at once on an advice block that is not
-    an inner codeword: it pins no coset.
+    an inner codeword: it names no symbol for h to take.
 
-    GMD settles most words without building their coset: a codeword c at
-    dist2 below dist2_bound - thresh2 (thresh2 the list radius) leaves every
-    other codeword past thresh2, so the coset's list is [c] when c is within
-    thresh2 and h(nodes) equals the advice symbols, and empty otherwise.
-    Only the words GMD leaves over are list decoded over their coset."""
+    GMD settles most words without a scan: a codeword c at dist2 below
+    dist2_bound - thresh2 (thresh2 the list radius) leaves every other
+    codeword past thresh2, so the list is [c] when c is within thresh2 and
+    empty otherwise.  Only the words GMD leaves over are list decoded, over
+    the whole codebook; every listed codeword then takes the same advice
+    test."""
     syms = advice_symbols(params, adv_values)
     if None in syms:
         raise AdviceMismatch("an advice block is not an inner codeword")
@@ -244,19 +217,18 @@ def decode_advice_from_words(params: BinaryLdcParams, plan: AdvicePlan,
     words = np.reshape(words, (len(nodes), -1))
     thresh2 = list_radius2(code, params.eps)
     got, left = certified_decode(code, words, code.dist2_bound - thresh2 - 1)
-    h0 = [None] * len(words)   # h(0) of each word's one candidate in its coset
-    done = [r for r, g in enumerate(got) if g is not None]
-    h = params.pack([got[r][0] for r in done]).reshape(len(done), k)
-    at = np.bitwise_xor.reduce(mul_arrays(
-        F, powers(F, nodes[done].ravel(), k).reshape(len(done), ka, k), h[:, None]), axis=-1)
-    for r, c, pinned in zip(done, h[:, 0].tolist(), (at == syms).all(axis=1).tolist()):
-        if pinned and got[r][1] <= thresh2:
-            h0[r] = c
+    lists = [[] if g is None or g[1] > thresh2 else [g[0]] for g in got]
     for r in left:
-        cands = list_decode_concat(code, words[r], params.eps,
-                                   idx=advice_coset(params, nodes[r], syms))
-        if len(cands) == 1:
-            h0[r] = int(params.pack(cands[0][0])[0])
+        lists[r] = [msg for msg, _ in list_decode_concat(code, words[r], params.eps)]
+    rows = [r for r, msgs in enumerate(lists) for _ in msgs]
+    h = params.pack([msg for msgs in lists for msg in msgs]).reshape(len(rows), k)
+    at = np.bitwise_xor.reduce(mul_arrays(
+        F, powers(F, nodes[rows].ravel(), k).reshape(len(rows), ka, k), h[:, None]), axis=-1)
+    kept = [[] for _ in lists]   # h(0) of each word's candidates that pass
+    for r, c, pinned in zip(rows, h[:, 0].tolist(), (at == syms).all(axis=1).tolist()):
+        if pinned:
+            kept[r].append(c)
+    h0 = [c[0] if len(c) == 1 else None for c in kept]
     bits = []
     for j, offset in enumerate(np.reshape(plan.offset, -1).tolist()):
         votes = [int(params.inner_words[c, offset]) for c in h0[j * t:(j + 1) * t]

@@ -12,13 +12,12 @@ true distance within that radius, as an exhaustive scan of the curve code
 finds it; a decoded curve contributes mass 1 - 2*delta on its symbol and
 2*delta on ⊥.  Each word is certified first: codes.certified_decode runs GMD
 below half the curve code's distance bound, where the codeword it finds is
-the scan's strict argmin.  Only the words it leaves over are scanned, with
-the curve code's codes.Codebook scan over a stack of words, SCAN_CHUNK words
-at a time: one table of block distances to the |F| inner codewords, then per
-group of blocks one take over every curve message, shared by the stack.  A
-caller holding many curve words (the tensor decoder's level-1 nodes) decodes
-them in one call to decode_curves_large and folds each plan's share with
-confidence_from_decoded.
+the scan's strict argmin.  Only the words it leaves over are scanned, one at
+a time, with the curve code's codes.Codebook scan: one table of block
+distances to the |F| inner codewords, then per group of blocks one take over
+every curve message.  A caller holding many curve words (the tensor
+decoder's level-1 nodes) decodes them in one call to decode_curves_large and
+folds each plan's share with confidence_from_decoded.
 
 gen_qlists draws per-index query plans whose positions respect a global
 overlap cap (no position serves more than ceil(3 r Q^2 / R) of the r lists),
@@ -108,9 +107,6 @@ class LargeLdcParams(RmLdc):
 # ---------------------------------------------------------------------------
 # smooth local decoding
 
-SCAN_CHUNK = 16  # words per stacked scan; bounds its (words, messages) table
-
-
 def decode_curves_large(params: LargeLdcParams, words) -> list:
     """Per word, (h(0), dist2) of the closest curve codeword within
     erasure-aware relative radius 1/2 - eps/2, or None; of two equally close
@@ -134,14 +130,10 @@ def decode_curves_large(params: LargeLdcParams, words) -> list:
         got[r] = (h0, got[r][1])
     # the top e K-digits of a message index are the packing of h(0)
     top = params.F.q ** (cc.outer.msg_len - 1)
-    for s in range(0, len(left), SCAN_CHUNK):
-        rows = left[s:s + SCAN_CHUNK]
-        d2 = codebook(cc).dist2_scan(words[rows])  # built at the first leftover word
-        best = d2.argmin(axis=1)  # ties break to the smallest message index
-        least = d2[np.arange(len(best)), best]
-        del d2  # free this chunk's table before the next one is built
-        for r, i, e in zip(rows, best.tolist(), least.tolist()):
-            got[r] = (int(params.packing.sym[i // top]), e)
+    for r in left:
+        d2 = codebook(cc).dist2_scan(words[r])  # built at the first leftover word
+        i = int(d2.argmin())  # ties break to the smallest message index
+        got[r] = (int(params.packing.sym[i // top]), int(d2[i]))
     return [None if g[1] > radius2 else g for g in got]
 
 

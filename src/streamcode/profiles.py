@@ -211,6 +211,8 @@ def validate_profile(prof: dict) -> list:
         else:
             if key == "rho" and not 0 <= value <= 1:
                 errors.append(f"rho: must lie in [0, 1], got {prof[key]}")
+            if key in ("strategy.copy_len", "strategy.block_len") and value < 1:
+                errors.append(f"{key}: must be at least 1, got {prof[key]}")
     strategy = prof.get("strategy")
     if strategy is not None and strategy not in STRATEGY_OPTIONS:
         errors.append(f"strategy: unknown {strategy!r} (known: {', '.join(STRATEGY_OPTIONS)})")

@@ -66,6 +66,10 @@ def test_validate_profile_lists_every_problem():
     ("repeat-unit", "blockzero", {"strategy.block_len": "8"}, "strategy.window_step"),
     ("tensor-small", "blockzero", {"strategy.window_step": "4"}, "strategy.block_len"),
     ("tensor-small", "copy_kill", {}, "strategy.copy_len"),
+    ("repeat-unit", "copy_kill", {"strategy.copy_len": "0"}, "strategy.copy_len"),
+    ("tensor-small", "copy_kill", {"strategy.copy_len": "-3"}, "strategy.copy_len"),
+    ("repeat-unit", "blockzero", {"strategy.block_len": "0", "strategy.window_step": "4"},
+     "strategy.block_len"),
 ])
 def test_validate_profile_rejects_strategies_corrupt_cannot_run(base, strategy, opts, problem):
     prof = dict(load_profile(base), strategy=strategy, **opts)

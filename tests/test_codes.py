@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from streamcode.gf import ERASE, GF, mul_arrays, pack_symbols, poly_eval, powers
+from streamcode import codes
+from streamcode.gf import ERASE, GF, gf_matvec, mul_arrays, poly_eval, powers
 from streamcode.codes import (
     ConcatCode, LinearCode, _bw_decode, _gmd_inner, _gmd_sweep, codebook, concat,
     doubly_extended_rs, ecc_eps, extended_hamming_code, list_decode_concat, make_systematic,
@@ -250,7 +251,12 @@ def _ecc_eps_gf16_code():
     (lambda: concat(make_systematic(rm_code(GF16, 1, 1)), doubly_extended_rs(GF4)), None),
     (_tensor_toy_curve_code, None),
     (_repeat_toy_advice_code, 300),
-], ids=["c03-rs-422", "rm-outer", "rs16-rs4ext", "tensor-toy-curve", "repeat-toy-advice"])
+    # GF(256) outer symbols: one block per group
+    (lambda: concat(rs_code(GF(8), [1, 2, 3], 2),
+                    LinearCode(GF2, np.eye(8, dtype=np.int32), systematic_positions=tuple(range(8)))),
+     300),
+], ids=["c03-rs-422", "rm-outer", "rs16-rs4ext", "tensor-toy-curve", "repeat-toy-advice",
+        "concat-gf256"])
 def test_concat_block_scan_matches_word_dist2(make, samples):
     code = make()
     assert isinstance(code, ConcatCode)
@@ -266,30 +272,6 @@ def test_concat_block_scan_matches_word_dist2(make, samples):
         assert len(d2) == code.msg_space
         for i, c in codewords:
             assert int(d2[i]) == word_dist2(w, c), i
-
-
-# (single-row scans are checked against word_dist2 above; outer fields give
-# groups of 4 (GF(4)), 2 (GF(16)) and 1 (GF(256)) blocks, 3 and 15 blocks pad)
-@pytest.mark.parametrize("make", [
-    toy_concat,
-    lambda: concat(rs_code(GF4, [0, 1, 2], 2), inner_4_2_2()),
-    _tensor_toy_curve_code,
-    lambda: concat(rs_code(GF(8), [1, 2, 3], 2),
-                   LinearCode(GF2, np.eye(8, dtype=np.int32), systematic_positions=tuple(range(8)))),
-    lambda: rs_code(GF4, [0, 1, 2, 3], 2),
-], ids=["concat-gf4", "concat-gf4-padded", "tensor-toy-curve", "concat-gf256", "plain"])
-def test_dist2_scan_stack_matches_rows(make):
-    code = make()
-    cb = codebook(code)
-    rng = np.random.default_rng(45)
-    stack = np.array(noisy_words(code, rng, count=5))
-    assert (stack == ERASE).any()
-    picked = rng.choice(code.msg_space, size=min(9, code.msg_space), replace=False)
-    for idx in [None, picked, [], [int(picked[0]), int(picked[1]), int(picked[0])]]:
-        got = cb.dist2_scan(stack, idx)
-        rows = [cb.dist2_scan(w, idx) for w in stack]
-        assert got.shape == (len(stack), code.msg_space if idx is None else len(idx))
-        assert np.array_equal(got, np.array(rows).reshape(got.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +386,60 @@ def test_gmd_syndrome_first_matches_sweep(make, flips, radius2):
         else:
             assert kind == "nonzero" and (got is None) == (swept is None)
             assert got is None or (np.array_equal(got[0], swept[0]) and got[1] == swept[1])
+
+
+def _every_step_sweep(cc, d2, syms, best_d2, radius2):
+    """The GMD erasure sweep at every erasure count 0..n - k, as (message,
+    dist2, erasure count) of the first new candidate inside radius2."""
+    F, g, n, k = cc.outer.field, cc.gmd, cc.num_blocks, cc.outer.msg_len
+    order, seen = np.argsort(-best_d2, kind="stable"), set()
+    for s in range(n - k + 1):
+        kept = np.sort(order[s:])
+        h = _bw_decode(F, g.powers[kept], syms[kept], k)
+        if h is None or tuple(h) in seen:
+            continue
+        seen.add(tuple(h))
+        word = gf_matvec(F, g.powers[:, :k], h)
+        total = int(d2[np.arange(n), g.packing.lex[word]].sum())
+        if total <= radius2:
+            return g.message(word), total, s
+    return None
+
+
+@pytest.mark.parametrize("make", [_repeat_toy_curve_code, _repeat_toy_advice_code],
+                         ids=["repeat-toy-curve", "repeat-toy-advice"])
+def test_gmd_sweep_skips_the_other_parity(make, monkeypatch):
+    """The sweep runs Berlekamp-Welch only at erasure counts s with n - s - k
+    even (n - k is 8 on the curve code, 11 on the advice code), and returns
+    what the sweep over every count returns, at radii from half the distance
+    bound to every codeword."""
+    code = make()
+    n, k, D = code.num_blocks, code.outer.msg_len, code.dist2_bound
+    points = []   # how many points each Berlekamp-Welch solve keeps: n - s
+
+    def counted(F, P, ys, k_rs):
+        points.append(len(P))
+        return _bw_decode(F, P, ys, k_rs)
+
+    monkeypatch.setattr(codes, "_bw_decode", counted)
+    rng = np.random.default_rng(code.code_len - k)
+    skipped = later = 0   # reference answers from a skipped step, from s > 1
+    for _ in range(60):
+        w = code.encode(rng.integers(0, code.field.q, code.msg_len))
+        hit = rng.choice(code.code_len, size=int(rng.uniform(0.1, 0.45) * code.code_len),
+                         replace=False)
+        era = rng.random(len(hit)) < 0.3
+        w[hit[~era]] ^= rng.integers(1, code.field.q, int((~era).sum()))
+        w[hit[era]] = ERASE
+        d2, syms, best_d2 = _gmd_inner(code, w)
+        for radius2 in [(D - 1) // 2, D - 1, 2 * code.code_len]:
+            want = _every_step_sweep(code, d2, syms, best_d2, radius2)
+            _same_decodes([_gmd_sweep(code, d2, syms, best_d2, radius2)], [want and want[:2]])
+            if want:
+                skipped += (n - want[2] - k) % 2
+                later += want[2] > 1
+    assert points and all((m - k) % 2 == 0 for m in points)
+    assert later and bool(skipped) == bool((n - k) % 2)   # the s = 0 step of n - k odd
 
 
 def _repeat_unit_curve_code():
@@ -552,47 +588,6 @@ def test_list_decode_radius_override():
     w = cc.encode(np.array([1, 1, 0, 0], dtype=np.int32))
     full = list_decode_concat(cc, w, 0, radius=Fraction(1))
     assert len(full) == 16  # radius 1 includes every codeword
-
-
-@pytest.mark.parametrize("make", [
-    toy_concat,
-    # GF(2) -> GF(256) packing, unlike GF(2) -> GF(4) or GF(16), is not its own inverse
-    lambda: concat(rs_code(GF(8), [1, 2, 3], 2),
-                   LinearCode(GF2, np.eye(8, dtype=np.int32), systematic_positions=tuple(range(8)))),
-], ids=["gf4", "gf256"])
-def test_index_of_packed_inverts_the_packing(make):
-    code = make()
-    cb = codebook(code)
-    K, F, e = code.field, code.outer.field, code.inner.msg_len
-    idx = np.random.default_rng(44).choice(code.msg_space, size=min(200, code.msg_space),
-                                           replace=False)
-    rows = [[pack_symbols(K, F, cb.msg_of_index(int(i))[t * e:(t + 1) * e])
-             for t in range(code.outer.msg_len)] for i in idx]
-    assert cb.index_of_packed(rows).tolist() == idx.tolist()
-
-
-@pytest.mark.parametrize("make", [toy_concat, lambda: rs_code(GF4, [0, 1, 2, 3], 2)],
-                         ids=["concat", "plain"])
-def test_list_decode_restricted_to_indices(make):
-    code = make()
-    cb = codebook(code)
-    rng = np.random.default_rng(43)
-    for w in noisy_words(code, rng, count=5):
-        full = list_decode_concat(code, w, 0, radius=Fraction(3, 4))
-        index = {tuple(cb.msg_of_index(i)): i for i in range(code.msg_space)}
-        assert len(full) > 1
-        for idx in [rng.choice(code.msg_space, size=7, replace=False), np.arange(code.msg_space),
-                    [index[tuple(m)] for m, _ in full][::-1], []]:
-            got = list_decode_concat(code, w, 0, radius=Fraction(3, 4), idx=idx)
-            want = [(tuple(m), d2) for m, d2 in full if index[tuple(m)] in set(idx)]
-            assert [(tuple(m), d2) for m, d2 in got] == want
-        # an index given twice is listed twice
-        hits = {index[tuple(m)]: d2 for m, d2 in full}
-        i = index[tuple(full[0][0])]
-        twice = [i, (i + 1) % code.msg_space, i]
-        got = list_decode_concat(code, w, 0, radius=Fraction(3, 4), idx=twice)
-        assert [(d2, index[tuple(m)]) for m, d2 in got] == \
-            sorted((hits[j], j) for j in twice if j in hits)
 
 
 # ---------------------------------------------------------------------------

@@ -274,9 +274,9 @@ def test_packing_consumers_read_gfs_arrays(monkeypatch):
     fake = fake_packing(K, F)
     assert not np.array_equal(fake.sym, packing(K, F).sym)
 
-    rows = np.array([[0, 1, 2], [15, 7, 3], [6, 6, 9]])
-    got = codes.Codebook(cc).index_of_packed(rows)
-    assert got.tolist() == (fake.lex[rows] @ F.q ** np.arange(2, -1, -1)).tolist()
+    v = np.array([5, 12, 9])   # the K-digit groups of message index 0x5c9
+    word = cc.inner_words[outer.encode(fake.sym[v])].ravel()
+    assert int(np.argmin(codes.Codebook(cc).dist2_scan(word))) == 0x5c9
 
     h = np.array([3, 10, 13])
     assert codes.GmdTables(cc).message(outer.encode(h)).tolist() == fake.digits[h].ravel().tolist()

@@ -9,11 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from streamcode.gf import ERASE, GF, pack_symbols, poly_eval, poly_interpolate
-from streamcode.codes import (certified_decode, codebook, extended_hamming_code,
-                              list_decode_concat, list_radius2, replicate, simplex_code,
-                              unique_decode)
+from streamcode.codes import (certified_decode, extended_hamming_code, list_decode_concat,
+                              list_radius2, replicate, simplex_code, unique_decode)
 from streamcode.ldc_binary import (
-    AdviceMismatch, AdvicePlan, BinaryLdcParams, advice_coset, advice_symbols,
+    AdviceMismatch, AdvicePlan, BinaryLdcParams, advice_symbols,
     decode_advice_from_words, decode_with_advice,
     sample_advice, sample_advice_plan, sample_smooth_plan,
     smooth_local_decode, gather,
@@ -246,28 +245,20 @@ def _passes_advice(p, msg, nodes, syms):
 
 def _reference_advice(p, plan, words, adv_values):
     """Advice decoding as a list decode of the whole codebook followed by
-    the h(lambda_l) == s_l filter: (survivor list per iteration, vote or
-    AdviceMismatch)."""
+    the h(lambda_l) == s_l filter: (survivor list per iteration, one bit, a
+    bit per target of a stacked plan, or AdviceMismatch)."""
     syms = advice_symbols(p, adv_values)
-    lists, votes = [], []
-    for nodes, word in zip(plan.nodes.tolist(), words):
-        kept = [(tuple(msg), d2) for msg, d2 in list_decode_concat(p.advice_code, word, p.eps)
-                if _passes_advice(p, msg, nodes, syms)]
-        lists.append(kept)
-        if len(kept) == 1:
-            votes.append(int(p.inner_words[p.pack(kept[0][0])[0], plan.offset]))
-    if not votes:
-        return lists, AdviceMismatch
-    return lists, 1 if 2 * sum(votes) > len(votes) else 0
-
-
-def _coset_lists(p, plan, words, adv_values):
-    syms = advice_symbols(p, adv_values)
-    if None in syms:
-        return [[] for _ in plan.nodes]
-    return [[(tuple(msg), d2) for msg, d2 in list_decode_concat(
-                p.advice_code, word, p.eps, idx=advice_coset(p, nodes, syms))]
-            for nodes, word in zip(np.reshape(plan.nodes, (-1, p.k_adv)).tolist(), words)]
+    lists = [[(tuple(msg), d2) for msg, d2 in list_decode_concat(p.advice_code, word, p.eps)
+              if _passes_advice(p, msg, nodes, syms)]
+             for nodes, word in zip(np.reshape(plan.nodes, (-1, p.k_adv)).tolist(), words)]
+    t, bits = p.t_advice, []
+    for j, offset in enumerate(np.reshape(plan.offset, -1).tolist()):
+        votes = [int(p.inner_words[p.pack(kept[0][0])[0], offset])
+                 for kept in lists[j * t:(j + 1) * t] if len(kept) == 1]
+        if not votes:
+            return lists, AdviceMismatch
+        bits.append(1 if 2 * sum(votes) > len(votes) else 0)
+    return lists, bits if np.ndim(plan.offset) else bits[0]
 
 
 def _vote(p, plan, words, adv_values):
@@ -278,32 +269,17 @@ def _vote(p, plan, words, adv_values):
 
 
 ADVICE_PARAMS = {
-    "toy-kadv1": lambda: toy_params(),                    # 256 messages, cosets of 16
-    "toy-kadv2": lambda: toy_params(k_adv=2),             # 4096 messages, cosets of 16
-    "repeat-toy": lambda: build_params(load_profile("repeat-toy")).ldc,  # 65536, of 4096
+    "toy-kadv1": lambda: toy_params(),                    # 256 messages
+    "toy-kadv2": lambda: toy_params(k_adv=2),             # 4096 messages
+    "repeat-toy": lambda: build_params(load_profile("repeat-toy")).ldc,  # 65536 messages
 }
 
 
 @pytest.mark.parametrize("name", list(ADVICE_PARAMS))
-def test_advice_coset_is_the_filtered_codebook(name):
-    p = ADVICE_PARAMS[name]()
-    cb = codebook(p.advice_code)
-    rng = random.Random(15)
-    for _ in range(3):
-        nodes = rng.sample(p.nonzero_points, p.k_adv)
-        syms = [rng.randrange(p.F.q) for _ in range(p.k_adv)]
-        idx = advice_coset(p, nodes, syms)
-        assert len(idx) == p.advice_code.msg_space // p.F.q ** p.k_adv
-        assert len(set(idx.tolist())) == len(idx)
-        sample = idx[rng.sample(range(len(idx)), min(64, len(idx)))]
-        assert all(_passes_advice(p, cb.msg_of_index(int(i)), nodes, syms) for i in sample)
-
-
-@pytest.mark.parametrize("name", list(ADVICE_PARAMS))
-def test_advice_coset_decode_matches_full_scan_filter(name):
-    """The coset scan gives the reference's survivor lists in (dist2, index)
-    order and its vote or AdviceMismatch, on clean and flipped words, an
-    invalid advice block and wrong-but-valid advice."""
+def test_advice_decode_matches_full_scan_filter(name):
+    """The advice decode gives the reference's vote or AdviceMismatch, on
+    clean and flipped words, an invalid advice block and wrong-but-valid
+    advice."""
     p = ADVICE_PARAMS[name]()
     rng = random.Random(16)
     sizes = []
@@ -324,40 +300,26 @@ def test_advice_coset_decode_matches_full_scan_filter(name):
         plan = sample_advice_plan(p, rng.randrange(p.n), adv, rng)
         words = gather(w, plan.positions).reshape(len(plan.blocks), -1)
         want_lists, want_vote = _reference_advice(p, plan, words, vals)
-        assert _coset_lists(p, plan, words, vals) == want_lists, case
         assert _vote(p, plan, words, vals) == want_vote, case
         sizes += [len(kept) for kept in want_lists]
     assert {0, 1} <= set(sizes)   # both a vote and an iteration that abstains
 
 
-def _coset_scan_vote(p, plan, words, adv_values):
-    """The advice decode with every word list decoded over its coset: a bit
-    per target of a stacked plan, or AdviceMismatch."""
-    lists, t, bits = _coset_lists(p, plan, words, adv_values), p.t_advice, []
-    for j, offset in enumerate(plan.offset.tolist()):
-        votes = [int(p.inner_words[p.pack(kept[0][0])[0], offset])
-                 for kept in lists[j * t:(j + 1) * t] if len(kept) == 1]
-        if not votes:
-            return AdviceMismatch
-        bits.append(1 if 2 * sum(votes) > len(votes) else 0)
-    return bits
-
-
 CERTIFIED_PARAMS = dict(ADVICE_PARAMS, **{
     # list radius 48 under the certificate's 63: a certified codeword past
-    # the radius leaves the coset's list empty
+    # the radius leaves the list empty
     "toy-wide": lambda: toy_params(eps=Fraction(3, 5)),
 })
 
 
 @pytest.mark.parametrize("name", list(CERTIFIED_PARAMS))
 def test_advice_certificate_matches_coset_scans(name):
-    """Stacked advice decodes equal the coset scan of every word.  Each word
-    is its target's curve word with a few flips (GMD certifies it), with
-    flips and erasures past the certificate (the coset scan takes it), or
-    the curve word of another message: its certified codeword mostly lies
-    outside the coset the advice pins, so it casts no vote, and a target
-    left with no vote raises AdviceMismatch as the scan does."""
+    """Stacked advice decodes equal the full-scan reference of every word.
+    Each word is its target's curve word with a few flips (GMD certifies
+    it), with flips and erasures past the certificate (the full scan takes
+    it), or the curve word of another message: its certified codeword mostly
+    fails the advice test, so it casts no vote, and a target left with no
+    vote raises AdviceMismatch as the reference does."""
     p = CERTIFIED_PARAMS[name]()
     code, n = p.advice_code, p.advice_code.code_len
     thresh2 = list_radius2(code, p.eps)
@@ -378,7 +340,7 @@ def test_advice_certificate_matches_coset_scans(name):
             hit = nrng.permutation(n)[:nrng.integers(0, cert2 // 2 + 1) if kind != "past" else
                                       nrng.integers(cert2 // 2 + 1, max(cert2, thresh2) // 2 + 2)]
             words[r, hit] = np.where(nrng.random(len(hit)) < 0.8, words[r, hit] ^ 1, ERASE)
-        outcomes.append(_coset_scan_vote(p, plan, words, vals))
+        outcomes.append(_reference_advice(p, plan, words, vals)[1])
         assert _vote(p, plan, words, vals) == outcomes[-1], case
         got, left = certified_decode(code, words, cert2)
         syms = advice_symbols(p, vals)

@@ -10,7 +10,7 @@ import pytest
 from streamcode.gf import ERASE, GF, field_mul, mul_lut
 from streamcode.codes import codebook, doubly_extended_rs, repetition_code, unique_decode
 from streamcode.ldc_large import (
-    SCAN_CHUNK, ConfidenceDist, LargeLdcParams, ResampleExhausted,
+    ConfidenceDist, LargeLdcParams, ResampleExhausted,
     UniformQuerySpec, decode_curves_large, gen_qlists, overlap_cap,
     query_smoothness_check, sample_smooth_plan, smooth_local_decode_large,
     gather,
@@ -152,12 +152,12 @@ def test_batched_curve_decode_matches_one_word_decodes():
     far = np.full(cc.code_len, ERASE)   # every codeword at relative distance 1/2
     rng = np.random.default_rng(46)
     words = [tie, far]
-    for _ in range(2 * SCAN_CHUNK + 5):
+    for _ in range(37):
         w = cc.encode(rng.integers(0, cc.field.q, cc.msg_len))
         hit = rng.choice(cc.code_len, size=int(rng.integers(0, cc.code_len)), replace=False)
         w[hit] = rng.integers(ERASE, cc.field.q, len(hit))
         words.append(w)
-    words.insert(SCAN_CHUNK + 3, tie)   # the tie again, inside a later chunk
+    words.insert(19, tie)   # the tie again, later in the batch
     want = [decode_curve_one(p, w) for w in words]
     assert want[0] == (int(p.packing.sym[0]), erased)   # the tie goes to message 0
     assert want[1] is None and None in want[2:] and want.count(None) < len(want) - 2
